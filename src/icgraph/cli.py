@@ -10,7 +10,8 @@ consumer is forced through a lossy double; small structural numbers
 (s, r, step, u, v, exponents, delta entries, eigenvalues) stay JSON
 numbers. CSV for trace has the fixed column order
 step,label,u,v,before,after,r,energy; other commands emit key,value
-rows (spectrum: k,eigenvalue; verify: p,s,ok,emax).
+rows (spectrum: k,eigenvalue; verify: p,s,ok,emax). Numbers print in
+full, whatever their digit count.
 
 Exit codes: 0 success, 1 usage error, 2 resource cap exceeded,
 3 verification discrepancy.
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
+from collections import Counter
 from typing import Optional, Sequence
 
 from .energy import (
@@ -39,17 +40,18 @@ from .model import (
     PrimePowerOrder,
     ResourceLimitError,
     check_divisor_set,
+    delta_inverse,
     divisor_set_of,
     format_ints,
     parse_ints,
 )
-from .numtheory import factorize, is_prime, primes_up_to
+from .numtheory import factorize, primes_up_to
 from .search import (
     PRIME_POWER_EXPONENT_CAP,
     brute_force_emax_prime_power,
     verify_theorem,
 )
-from .transform import Trace, normalize
+from .transform import normalize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,27 +70,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
-def _emit_json(record: dict) -> None:
-    _emit(json.dumps(record, indent=2, sort_keys=True))
-
-
-def _emit_csv(rows: list[list], header: list[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue())
-
-
-def _emit_kv(record_results: dict) -> None:
-    rows = [[key, _flat(value)] for key, value in sorted(record_results.items())]
-    _emit_csv(rows, ["key", "value"])
+def _render(record: dict, lines: list[str], rows: Optional[list[list]], fmt: str) -> None:
+    """Write one command's output; rows None means key,value rows of its results."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    elif fmt == "csv":
+        if rows is None:
+            rows = [["key", "value"]]
+            rows += [[key, _flat(value)] for key, value in sorted(record["results"].items())]
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _flat(value) -> str:
@@ -99,48 +91,16 @@ def _flat(value) -> str:
     return str(value)
 
 
-def _table(lines: list[str]) -> None:
-    _emit("\n".join(lines))
+def _int_list(value: str) -> tuple[int, ...]:
+    try:
+        return parse_ints(value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _columns(rows: list[list[str]]) -> list[str]:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
-
-
-def _prime_power_shape(n: int) -> Optional[tuple[int, int]]:
-    fac = factorize(n)
-    if len(fac) == 1:
-        return fac[0]
-    return None
-
-
-def _exponent_of(d: int, p: int) -> int:
-    e = 0
-    while d % p == 0:
-        d //= p
-        e += 1
-    if d != 1:
-        raise UsageError(f"divisor is not a power of {p}")
-    return e
-
-
-def _parse_prime(value: str) -> int:
-    p = int(value)
-    if not is_prime(p):
-        raise UsageError(f"--p must be prime, got {p}")
-    return p
-
-
-def _instance_from_args(args) -> tuple[int, tuple[int, ...], Optional[PrimePowerOrder], Optional[tuple[int, ...]]]:
-    """Resolve (--p, --s, --exponents) or (--n, --divisors) to one instance.
-
-    Returns (n, divisor set, order or None, exponents or None); the last
-    two are filled whenever n is a prime power.
-    """
+def cmd_energy(args):
+    # One instance, as (--p, --s, --exponents) or as (--n, --divisors); a
+    # prime power n gets its order and exponent tuple too.
     by_pp = args.p is not None or args.s is not None or args.exponents is not None
     by_n = args.n is not None or args.divisors is not None
     if by_pp and by_n:
@@ -149,44 +109,44 @@ def _instance_from_args(args) -> tuple[int, tuple[int, ...], Optional[PrimePower
         if args.p is None or args.s is None or args.exponents is None:
             raise UsageError("--p, --s and --exponents belong together")
         order = PrimePowerOrder(args.p, args.s)
-        exponents = parse_ints(args.exponents)
+        exponents = args.exponents
+        n = order.n
         ds = divisor_set_of(exponents, order)
-        return order.n, ds, order, exponents
-    if args.n is None or args.divisors is None:
-        raise UsageError("--n and --divisors belong together")
-    n = int(args.n)
-    ds = check_divisor_set(n, parse_ints(args.divisors))
-    shape = _prime_power_shape(n) if n > 1 else None
-    if shape:
-        p, s = shape
-        order = PrimePowerOrder(p, s)
-        exponents = tuple(_exponent_of(d, p) for d in ds)
-        return n, ds, order, exponents
-    return n, ds, None, None
-
-
-def cmd_energy(args) -> int:
-    n, ds, order, exponents = _instance_from_args(args)
-    method = args.method
-    if method is None:
-        method = "formula" if order is not None else "spectral"
+    else:
+        if args.n is None or args.divisors is None:
+            raise UsageError("--n and --divisors belong together")
+        n = args.n
+        ds = check_divisor_set(n, args.divisors)
+        fac = factorize(n)
+        order = PrimePowerOrder(*fac[0]) if len(fac) == 1 else None
+        exponents = tuple(dict(factorize(d)).get(order.p, 0) for d in ds) if order else None
+    method = args.method or ("formula" if order is not None else "spectral")
     if method in ("formula", "both") and order is None:
         raise UsageError(f"--method {method} needs a prime power order, {n} is not one")
 
+    # Table lines reuse the record's decimal strings: str() of a big int
+    # takes time quadratic in its digits.
+    divisors = [str(d) for d in ds]
+    lines = [f"order n = {n}", f"divisor set D = {format_ints(divisors)}"]
+    if exponents is not None:
+        lines.append(f"exponent tuple a = {format_ints(exponents)}")
     results: dict = {}
     if method in ("formula", "both"):
         results["energy_formula"] = str(energy_prime_power(order, exponents))
+        lines.append(f"energy (formula)  = {results['energy_formula']}")
     if method in ("spectral", "both"):
         results["energy_spectral"] = str(energy_general(n, ds))
+        lines.append(f"energy (spectral) = {results['energy_spectral']}")
     if method == "both":
         results["agreement"] = results["energy_formula"] == results["energy_spectral"]
+        lines.append(f"agreement = {'yes' if results['agreement'] else 'NO'}")
     results["energy"] = results.get("energy_formula", results.get("energy_spectral"))
 
     record = {
         "command": "energy",
         "inputs": {
             "n": str(n),
-            "divisors": [str(d) for d in ds],
+            "divisors": divisors,
             "exponents": list(exponents) if exponents is not None else None,
             "p": str(order.p) if order else None,
             "s": order.s if order else None,
@@ -194,27 +154,10 @@ def cmd_energy(args) -> int:
         },
         "results": results,
     }
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        _emit_kv(results)
-    else:
-        lines = [f"order n = {n}", f"divisor set D = {format_ints(ds)}"]
-        if exponents is not None:
-            lines.append(f"exponent tuple a = {format_ints(exponents)}")
-        if "energy_formula" in results:
-            lines.append(f"energy (formula)  = {results['energy_formula']}")
-        if "energy_spectral" in results:
-            lines.append(f"energy (spectral) = {results['energy_spectral']}")
-        if "agreement" in results:
-            lines.append(f"agreement = {'yes' if results['agreement'] else 'NO'}")
-        _table(lines)
-    if method == "both" and not results["agreement"]:
-        return EXIT_DISCREPANCY
-    return EXIT_OK
+    return record, lines, None
 
 
-def cmd_emax(args) -> int:
+def cmd_emax(args):
     order = PrimePowerOrder(args.p, args.s)
     value, tuples = emax_closed(order)
     sets = [divisor_set_of(t, order) for t in tuples]
@@ -223,7 +166,9 @@ def cmd_emax(args) -> int:
         "maximizer_exponents": [list(t) for t in tuples],
         "maximizer_divisor_sets": [[str(d) for d in ds] for ds in sets],
     }
-    agreement = None
+    lines = [f"order n = {order} = {order.n}", f"emax = {results['emax']}"]
+    for t, ds in zip(tuples, results["maximizer_divisor_sets"]):
+        lines.append(f"maximizer a = {format_ints(t)}  D = {format_ints(ds)}")
     if args.brute:
         report = brute_force_emax_prime_power(order, jobs=args.jobs)
         agreement = report.emax == value and sorted(report.maximizers) == sorted(sets)
@@ -233,152 +178,90 @@ def cmd_emax(args) -> int:
         ]
         results["brute_examined"] = report.examined
         results["agreement"] = agreement
+        lines.append(f"brute force over {report.examined} sets: emax = {report.emax}")
+        lines.append(f"agreement = {'yes' if agreement else 'NO'}")
 
     record = {
         "command": "emax",
         "inputs": {"p": str(order.p), "s": order.s, "brute": bool(args.brute)},
         "results": results,
     }
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        _emit_kv(results)
-    else:
-        lines = [f"order n = {order} = {order.n}", f"emax = {value}"]
-        for t, ds in zip(tuples, sets):
-            lines.append(f"maximizer a = {format_ints(t)}  D = {format_ints(ds)}")
-        if args.brute:
-            lines.append(f"brute force over {results['brute_examined']} sets: emax = {results['brute_emax']}")
-            lines.append(f"agreement = {'yes' if agreement else 'NO'}")
-        _table(lines)
-    if agreement is False:
-        return EXIT_DISCREPANCY
-    return EXIT_OK
+    return record, lines, None
 
 
-def cmd_emin(args) -> int:
+def cmd_emin(args):
     order = PrimePowerOrder(args.p, args.s)
     value, sets = emin_closed(order)
     results = {
         "emin": str(value),
         "minimizer_divisor_sets": [[str(d) for d in ds] for ds in sets],
     }
-    record = {
-        "command": "emin",
-        "inputs": {"p": str(order.p), "s": order.s},
-        "results": results,
-    }
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        _emit_kv(results)
-    else:
-        lines = [f"order n = {order} = {order.n}", f"emin = {value}"]
-        lines.append("minimizers: " + " ".join(format_ints(ds) for ds in sets))
-        _table(lines)
-    return EXIT_OK
+    record = {"command": "emin", "inputs": {"p": str(order.p), "s": order.s}, "results": results}
+    lines = [
+        f"order n = {order} = {order.n}",
+        f"emin = {results['emin']}",
+        "minimizers: " + " ".join(format_ints(ds) for ds in results["minimizer_divisor_sets"]),
+    ]
+    return record, lines, None
 
 
-def _trace_json(trace: Trace) -> dict:
-    order = trace.order
-    initial = trace.initial
-    first_energy = (
-        trace.steps[0].energy_before
-        if trace.steps
-        else energy_prime_power(order, _tuple_of(initial))
-    )
-    last_energy = trace.steps[-1].energy_after if trace.steps else first_energy
-    return {
-        "command": "trace",
-        "inputs": {"p": str(order.p), "s": order.s, "delta": list(initial)},
-        "initial": {
-            "vector": list(initial),
-            "r": len(initial) + 1,
-            "energy": str(first_energy),
-        },
-        "steps": [
-            {
-                "step": i + 1,
-                "label": step.label.value,
-                "u": step.u,
-                "v": step.v,
-                "before": list(step.before),
-                "after": list(step.after),
-                "r": len(step.after) + 1,
-                "energy_before": str(step.energy_before),
-                "energy_after": str(step.energy_after),
-                "strict": step.strict,
-            }
-            for i, step in enumerate(trace.steps)
-        ],
-        "terminal": {
-            "vector": list(trace.terminal),
-            "r": len(trace.terminal) + 1,
-            "energy": str(last_energy),
-        },
-    }
-
-
-def _tuple_of(d: Sequence[int]) -> tuple[int, ...]:
-    from .model import delta_inverse
-
-    return delta_inverse(d)
-
-
-def cmd_trace(args) -> int:
+def cmd_trace(args):
     order = PrimePowerOrder(args.p, args.s)
-    d0 = parse_ints(args.delta)
-    trace = normalize(d0, order)
-    record = _trace_json(trace)
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        rows = [
-            [
-                step["step"],
-                step["label"],
-                step["u"],
-                "" if step["v"] is None else step["v"],
-                format_ints(step["before"]),
-                format_ints(step["after"]),
-                step["r"],
-                step["energy_after"],
-            ]
-            for step in record["steps"]
-        ]
-        _emit_csv(rows, ["step", "label", "u", "v", "before", "after", "r", "energy"])
+    trace = normalize(args.delta, order)
+    if trace.steps:
+        first_energy, last_energy = trace.steps[0].energy_before, trace.steps[-1].energy_after
     else:
-        rows = [["step", "label", "u", "v", "vector", "r", "energy"]]
-        rows.append(
-            [
-                "0",
-                "-",
-                "-",
-                "-",
-                format_ints(record["initial"]["vector"]),
-                str(record["initial"]["r"]),
-                record["initial"]["energy"],
-            ]
-        )
-        for step in record["steps"]:
-            rows.append(
-                [
-                    str(step["step"]),
-                    step["label"],
-                    str(step["u"]),
-                    "-" if step["v"] is None else str(step["v"]),
-                    format_ints(step["after"]),
-                    str(step["r"]),
-                    step["energy_after"],
-                ]
-            )
-        _table(_columns(rows))
-    return EXIT_OK
+        first_energy = last_energy = energy_prime_power(order, delta_inverse(trace.initial))
+
+    def point(vector, energy) -> dict:
+        return {"vector": list(vector), "r": len(vector) + 1, "energy": str(energy)}
+
+    steps = [
+        {
+            "step": i + 1,
+            "label": step.label.value,
+            "u": step.u,
+            "v": step.v,
+            "before": list(step.before),
+            "after": list(step.after),
+            "r": len(step.after) + 1,
+            "energy_before": str(step.energy_before),
+            "energy_after": str(step.energy_after),
+            "strict": step.strict,
+        }
+        for i, step in enumerate(trace.steps)
+    ]
+    record = {
+        "command": "trace",
+        "inputs": {"p": str(order.p), "s": order.s, "delta": list(trace.initial)},
+        "initial": point(trace.initial, first_energy),
+        "steps": steps,
+        "terminal": point(trace.terminal, last_energy),
+    }
+    # csv columns are step fields, vectors written as (x,...); the table
+    # drops "before", prints None as "-" and starts with the initial vector.
+    fields = ("step", "label", "u", "v", "before", "after", "r", "energy_after")
+    rows = [["step", "label", "u", "v", "before", "after", "r", "energy"]]
+    rows += [
+        [format_ints(step[f]) if f in ("before", "after") else step[f] for f in fields]
+        for step in steps
+    ]
+    start = record["initial"]
+    table = [
+        ["step", "label", "u", "v", "vector", "r", "energy"],
+        ["0", "-", "-", "-", format_ints(start["vector"]), str(start["r"]), start["energy"]],
+    ]
+    table += [
+        ["-" if cell is None else str(cell) for cell in row[:4] + row[5:]] for row in rows[1:]
+    ]
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+    return record, lines, rows
 
 
-def cmd_classify(args) -> int:
-    n = int(args.n)
-    ds = check_divisor_set(n, parse_ints(args.divisors))
+def cmd_classify(args):
+    n = args.n
+    ds = check_divisor_set(n, args.divisors)
     energy = energy_general(n, ds)
     threshold = 2 * (n - 1)
     results = {
@@ -392,25 +275,18 @@ def cmd_classify(args) -> int:
         "inputs": {"n": str(n), "divisors": [str(d) for d in ds]},
         "results": results,
     }
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        _emit_kv(results)
-    else:
-        _table(
-            [
-                f"order n = {n}",
-                f"divisor set D = {format_ints(ds)}",
-                f"energy = {energy}",
-                f"complete graph threshold 2(n-1) = {threshold}",
-                f"classification = {results['classification']}",
-                f"koolen-moulton bound satisfied = {'yes' if results['koolen_moulton_ok'] else 'NO'}",
-            ]
-        )
-    return EXIT_OK
+    lines = [
+        f"order n = {n}",
+        f"divisor set D = {format_ints(ds)}",
+        f"energy = {energy}",
+        f"complete graph threshold 2(n-1) = {threshold}",
+        f"classification = {results['classification']}",
+        f"koolen-moulton bound satisfied = {'yes' if results['koolen_moulton_ok'] else 'NO'}",
+    ]
+    return record, lines, None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.smax > PRIME_POWER_EXPONENT_CAP:
         raise ResourceLimitError(
             f"--smax {args.smax} exceeds the enumeration cap {PRIME_POWER_EXPONENT_CAP}"
@@ -420,79 +296,67 @@ def cmd_verify(args) -> int:
     if args.smax < 1:
         raise UsageError(f"--smax must be >= 1, got {args.smax}")
     cases = []
-    failures = 0
+    lines = []
+    rows = [["p", "s", "ok", "emax"]]
     for p in primes_up_to(args.pmax):
         for s in range(1, args.smax + 1):
             order = PrimePowerOrder(p, s)
             ok, problems = verify_theorem(order, jobs=args.jobs)
             value, _ = emax_closed(order)
-            if not ok:
-                failures += 1
             cases.append(
                 {"p": str(p), "s": s, "ok": ok, "emax": str(value), "problems": problems}
             )
+            lines.append(f"p={p} s={s} emax={value} {'ok' if ok else 'MISMATCH'}")
+            lines.extend(f"  {problem}" for problem in problems)
+            rows.append([p, s, _flat(ok), value])
+    failures = sum(not c["ok"] for c in cases)
+    lines.append(
+        f"{len(cases)} cases, {failures} failures" if failures else f"all {len(cases)} cases agree"
+    )
     record = {
         "command": "verify",
         "inputs": {"pmax": args.pmax, "smax": args.smax},
         "cases": cases,
         "results": {"cases": len(cases), "failures": failures, "all_ok": failures == 0},
     }
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        rows = [[c["p"], c["s"], _flat(c["ok"]), c["emax"]] for c in cases]
-        _emit_csv(rows, ["p", "s", "ok", "emax"])
-    else:
-        lines = []
-        for c in cases:
-            status = "ok" if c["ok"] else "MISMATCH"
-            lines.append(f"p={c['p']} s={c['s']} emax={c['emax']} {status}")
-            lines.extend(f"  {problem}" for problem in c["problems"])
-        lines.append(
-            f"{len(cases)} cases, {failures} failures"
-            if failures
-            else f"all {len(cases)} cases agree"
-        )
-        _table(lines)
-    return EXIT_DISCREPANCY if failures else EXIT_OK
+    return record, lines, rows
 
 
-def cmd_spectrum(args) -> int:
-    n = int(args.n)
-    ds = check_divisor_set(n, parse_ints(args.divisors))
+def cmd_spectrum(args):
+    n = args.n
+    ds = check_divisor_set(n, args.divisors)
     spec = spectrum_gcd_graph(n, ds)
     energy = sum(abs(x) for x in spec)
-    distinct: dict[int, int] = {}
-    for lam in spec:
-        distinct[lam] = distinct.get(lam, 0) + 1
-    results = {
-        "degree": spec[0],
-        "energy": str(energy),
-        "distinct": [[lam, mult] for lam, mult in sorted(distinct.items())],
-    }
+    distinct = Counter(spec)
     record = {
         "command": "spectrum",
         "inputs": {"n": str(n), "divisors": [str(d) for d in ds]},
-        "results": results,
+        "results": {
+            "degree": spec[0],
+            "energy": str(energy),
+            "distinct": [[lam, mult] for lam, mult in sorted(distinct.items())],
+        },
         "eigenvalues": spec,
     }
-    if args.format == "json":
-        _emit_json(record)
-    elif args.format == "csv":
-        _emit_csv([[k, lam] for k, lam in enumerate(spec)], ["k", "eigenvalue"])
-    else:
-        lines = [
-            f"order n = {n}",
-            f"divisor set D = {format_ints(ds)}",
-            f"degree = {spec[0]}",
-            "eigenvalue . multiplicity:",
-        ]
-        lines.extend(
-            f"  {lam} . {mult}" for lam, mult in sorted(distinct.items(), reverse=True)
-        )
-        lines.append(f"energy = {energy}")
-        _table(lines)
-    return EXIT_OK
+    lines = [
+        f"order n = {n}",
+        f"divisor set D = {format_ints(ds)}",
+        f"degree = {spec[0]}",
+        "eigenvalue . multiplicity:",
+    ]
+    lines.extend(f"  {lam} . {mult}" for lam, mult in sorted(distinct.items(), reverse=True))
+    lines.append(f"energy = {energy}")
+    return record, lines, [["k", "eigenvalue"], *enumerate(spec)]
+
+
+# Every option's argparse settings, shared by the subcommands that take it.
+OPTIONS = {
+    **dict.fromkeys(("--p", "--s", "--n", "--pmax", "--smax"), {"type": int}),
+    **dict.fromkeys(("--exponents", "--divisors", "--delta"), {"type": _int_list}),
+    "--method": {"choices": ("formula", "spectral", "both")},
+    "--brute": {"action": "store_true", "help": "cross-check by enumeration"},
+    "--jobs": {"type": int, "default": 1},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,82 +369,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=("table", "json", "csv"), default="table"
-        )
+    def command(name, func, help, required=(), optional=()) -> None:
+        # --help lists options in the order they are added: --format last.
+        p = sub.add_parser(name, help=help)
+        for flag in (*required, *optional):
+            p.add_argument(flag, required=flag in required, **OPTIONS[flag])
+        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+        p.set_defaults(func=func)
 
-    p_energy = sub.add_parser("energy", help="energy of one gcd graph")
-    p_energy.add_argument("--p", type=_parse_prime)
-    p_energy.add_argument("--s", type=int)
-    p_energy.add_argument("--exponents")
-    p_energy.add_argument("--n", type=int)
-    p_energy.add_argument("--divisors")
-    p_energy.add_argument("--method", choices=("formula", "spectral", "both"))
-    add_format(p_energy)
-    p_energy.set_defaults(func=cmd_energy)
-
-    p_emax = sub.add_parser("emax", help="maximal energy over divisor sets of p^s")
-    p_emax.add_argument("--p", type=_parse_prime, required=True)
-    p_emax.add_argument("--s", type=int, required=True)
-    p_emax.add_argument("--brute", action="store_true", help="cross-check by enumeration")
-    p_emax.add_argument("--jobs", type=int, default=1)
-    add_format(p_emax)
-    p_emax.set_defaults(func=cmd_emax)
-
-    p_emin = sub.add_parser("emin", help="minimal energy over divisor sets of p^s")
-    p_emin.add_argument("--p", type=_parse_prime, required=True)
-    p_emin.add_argument("--s", type=int, required=True)
-    add_format(p_emin)
-    p_emin.set_defaults(func=cmd_emin)
-
-    p_trace = sub.add_parser("trace", help="rewrite a delta vector to the maximum")
-    p_trace.add_argument("--p", type=_parse_prime, required=True)
-    p_trace.add_argument("--s", type=int, required=True)
-    p_trace.add_argument("--delta", required=True)
-    add_format(p_trace)
-    p_trace.set_defaults(func=cmd_trace)
-
-    p_classify = sub.add_parser("classify", help="hyper/hypoenergetic classification")
-    p_classify.add_argument("--n", type=int, required=True)
-    p_classify.add_argument("--divisors", required=True)
-    add_format(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_verify = sub.add_parser("verify", help="closed forms vs brute force sweep")
-    p_verify.add_argument("--pmax", type=int, required=True)
-    p_verify.add_argument("--smax", type=int, required=True)
-    p_verify.add_argument("--jobs", type=int, default=1)
-    add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_spectrum = sub.add_parser("spectrum", help="all eigenvalues of one gcd graph")
-    p_spectrum.add_argument("--n", type=int, required=True)
-    p_spectrum.add_argument("--divisors", required=True)
-    add_format(p_spectrum)
-    p_spectrum.set_defaults(func=cmd_spectrum)
-
+    pp = ("--p", "--s")
+    instance = ("--n", "--divisors")
+    command(
+        "energy", cmd_energy, "energy of one gcd graph",
+        optional=(*pp, "--exponents", *instance, "--method"),
+    )
+    command(
+        "emax", cmd_emax, "maximal energy over divisor sets of p^s", pp, ("--brute", "--jobs")
+    )
+    command("emin", cmd_emin, "minimal energy over divisor sets of p^s", pp)
+    command("trace", cmd_trace, "rewrite a delta vector to the maximum", (*pp, "--delta"))
+    command("classify", cmd_classify, "hyper/hypoenergetic classification", instance)
+    command(
+        "verify", cmd_verify, "closed forms vs brute force sweep", ("--pmax", "--smax"), ("--jobs",)
+    )
+    command("spectrum", cmd_spectrum, "all eigenvalues of one gcd graph", instance)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     started = time.perf_counter()
+    # Outputs may have more digits than str(int) allows by default; lift
+    # that limit for the command and its output only, not for argv.
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        args = parser.parse_args(argv)
-        code = args.func(args)
-    except UsageError as exc:
+        args = build_parser().parse_args(argv)
+        set_digits(0)
+        record, lines, rows = args.func(args)
+        _render(record, lines, rows, args.format)
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "timing", False):
+    finally:
+        set_digits(digits)
+    if args.timing:
         print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return code
+    results = record.get("results", {})
+    if results.get("agreement") is False or results.get("all_ok") is False:
+        return EXIT_DISCREPANCY
+    return EXIT_OK
 
 
 def main_entry() -> None:

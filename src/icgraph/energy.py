@@ -36,7 +36,7 @@ from .numtheory import divisors, is_prime, ramanujan_sum
 
 # energy_general / spectrum_gcd_graph refuse larger n; the per-order
 # gcd histogram pass is O(n log n) and meant for desk-scale checking.
-GENERAL_N_CAP = 10**6
+SPECTRAL_N_CAP = 10**6
 
 
 def h_value(p: int, a: Sequence[int]) -> Fraction:
@@ -105,8 +105,8 @@ def spectrum_gcd_graph(n: int, divisor_set: Iterable[int]) -> list[int]:
     degree sum_{d in D} phi(n/d), and the whole list sums to 0.
     """
     ds = check_divisor_set(n, divisor_set)
-    if n > GENERAL_N_CAP:
-        raise ResourceLimitError(f"n = {n} exceeds the spectral scan cap {GENERAL_N_CAP}")
+    if n > SPECTRAL_N_CAP:
+        raise ResourceLimitError(f"n = {n} exceeds the spectral scan cap {SPECTRAL_N_CAP}")
     gs = _divisor_tuple(n)
     index = {g: i for i, g in enumerate(gs)}
     by_class = [sum(_eigenvalue_classes(n, d)[i] for d in ds) for i in range(len(gs))]
@@ -121,8 +121,8 @@ def energy_general(n: int, divisor_set: Iterable[int]) -> int:
     identical to summing |.| over spectrum_gcd_graph. Cap: n <= 10^6.
     """
     ds = check_divisor_set(n, divisor_set)
-    if n > GENERAL_N_CAP:
-        raise ResourceLimitError(f"n = {n} exceeds the spectral scan cap {GENERAL_N_CAP}")
+    if n > SPECTRAL_N_CAP:
+        raise ResourceLimitError(f"n = {n} exceeds the spectral scan cap {SPECTRAL_N_CAP}")
     counts = _gcd_class_counts(n)
     vectors = [_eigenvalue_classes(n, d) for d in ds]
     total = 0

@@ -14,6 +14,7 @@ of gap-2 entries, used as a test oracle.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .model import (
 from .numtheory import divisors, is_prime
 
 PRIME_POWER_EXPONENT_CAP = 20  # 2^s subsets enumerated
-GENERAL_N_CAP = 10**4
+ENUMERATION_N_CAP = 10**4
 GENERAL_SUBSET_CAP = 2**20
 
 
@@ -48,8 +49,11 @@ class MaximizerReport:
 
 
 def _mask_range_chunks(total: int, jobs: int) -> list[tuple[int, int]]:
-    """Split mask range [1, total) into at most `jobs` contiguous chunks."""
-    jobs = max(1, min(jobs, total - 1))
+    """Split mask range [1, total) into at most `jobs` contiguous chunks.
+
+    Never more chunks than CPUs: each chunk becomes one worker process.
+    """
+    jobs = max(1, min(jobs, total - 1, os.cpu_count() or 1))
     bounds = [1 + (total - 1) * i // jobs for i in range(jobs + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(jobs) if bounds[i] < bounds[i + 1]]
 
@@ -126,8 +130,8 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"n must be an int >= 2, got {n!r}")
-    if n > GENERAL_N_CAP:
-        raise ResourceLimitError(f"n = {n} exceeds the enumeration cap {GENERAL_N_CAP}")
+    if n > ENUMERATION_N_CAP:
+        raise ResourceLimitError(f"n = {n} exceeds the enumeration cap {ENUMERATION_N_CAP}")
     proper = tuple(d for d in divisors(n) if d != n)
     if 2 ** len(proper) - 1 > GENERAL_SUBSET_CAP:
         raise ResourceLimitError(

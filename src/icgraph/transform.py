@@ -123,14 +123,12 @@ def apply_V(d: Sequence[int], u: int) -> tuple[int, ...]:
     return (2,) * (len(d) - 1) + (1,)
 
 
-def applicable(
-    d: Sequence[int], p: int
-) -> list[tuple[TransformLabel, int, Optional[int]]]:
+def applicable(d: Sequence[int]) -> list[tuple[TransformLabel, int, Optional[int]]]:
     """All rule instances whose preconditions hold on d, deterministically ordered.
 
     Order: label (Ia, Ib, II, III, IV, V), then u ascending, then v
-    ascending. p does not affect which instances apply (rule III applies
-    in its energy-preserving case too); it is kept for interface parity.
+    ascending. The prime p plays no part: rule III applies in its
+    energy-preserving case too.
     """
     d = check_delta(d)
     r1 = len(d)
@@ -289,7 +287,7 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     energy = energy_prime_power(order, delta_inverse(d))
     limit = 4 * order.s + 16
     while True:
-        instances = applicable(d, p)
+        instances = applicable(d)
         if not instances:
             break
         if len(steps) >= limit:

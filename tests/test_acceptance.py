@@ -170,7 +170,7 @@ def test_acceptance_06_rule_applications_increase_energy():
         middle = [x for x in range(1, s - 1) if rng.random() < 0.5]
         a = (0,) + tuple(middle) + (s - 1,)
         d = delta(a)
-        moves = applicable(d, p)
+        moves = applicable(d)
         if not moves:
             continue
         label, u, v = rng.choice(moves)

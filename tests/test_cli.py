@@ -187,6 +187,24 @@ def test_verify_csv_columns(capsys):
     assert all(row[2] == "true" for row in rows[1:])
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-str limit"
+)
+def test_outputs_beyond_the_int_str_digit_limit_print_exactly(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(
+        capsys, ["energy", "--p", "2", "--s", "20000", "--exponents", "0,19999"]
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    energy = out.splitlines()[-1].split(" = ")[1]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(energy) == 2**20001 - 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------- exit codes
 
 @pytest.mark.parametrize(

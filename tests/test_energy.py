@@ -27,7 +27,7 @@ from icgraph import (
     spectrum_gcd_graph,
     totient,
 )
-from icgraph.energy import GENERAL_N_CAP
+from icgraph.energy import SPECTRAL_N_CAP
 
 from helpers import general_instances, order_and_tuple, small_order_and_tuple
 
@@ -163,9 +163,9 @@ def test_energy_general_rejects_bad_sets():
 
 def test_energy_general_enforces_size_cap():
     with pytest.raises(ResourceLimitError):
-        energy_general(GENERAL_N_CAP + 1, (1,))
+        energy_general(SPECTRAL_N_CAP + 1, (1,))
     with pytest.raises(ResourceLimitError):
-        spectrum_gcd_graph(2 * GENERAL_N_CAP, (1,))
+        spectrum_gcd_graph(2 * SPECTRAL_N_CAP, (1,))
 
 
 # ---------------------------------------------------------------- extremes

@@ -1,6 +1,7 @@
 """Brute-force enumeration, closed-form verification and the reduction identity."""
 
 import itertools
+import os
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,7 @@ from icgraph import (
     tableau_reduction_check,
     verify_theorem,
 )
-from icgraph.search import GENERAL_N_CAP, PRIME_POWER_EXPONENT_CAP
+from icgraph.search import ENUMERATION_N_CAP, PRIME_POWER_EXPONENT_CAP, _mask_range_chunks
 
 from helpers import SMALL_PRIMES, exponent_tuples
 
@@ -86,6 +87,14 @@ def test_parallel_chunks_merge_to_the_same_report():
     assert brute_force_emax_general(60, jobs=2) == brute_force_emax_general(60)
 
 
+def test_worker_chunks_never_outnumber_the_cpus():
+    # Pure arithmetic: no process is started. Each chunk is one worker.
+    chunks = _mask_range_chunks(2**20, 10**6)
+    assert len(chunks) <= (os.cpu_count() or 1)
+    assert chunks[0][0] == 1 and chunks[-1][1] == 2**20
+    assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+
+
 def test_prime_power_brute_force_enforces_exponent_cap():
     with pytest.raises(ResourceLimitError):
         brute_force_emax_prime_power(PrimePowerOrder(2, PRIME_POWER_EXPONENT_CAP + 1))
@@ -93,7 +102,7 @@ def test_prime_power_brute_force_enforces_exponent_cap():
 
 def test_general_brute_force_enforces_caps():
     with pytest.raises(ResourceLimitError):
-        brute_force_emax_general(GENERAL_N_CAP + 1)
+        brute_force_emax_general(ENUMERATION_N_CAP + 1)
     # 2310 = 2*3*5*7*11 has 31 proper divisors: too many subsets.
     with pytest.raises(ResourceLimitError):
         brute_force_emax_general(2310)

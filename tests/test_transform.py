@@ -140,7 +140,7 @@ def test_rules_preserve_the_entry_sum():
 
 def test_applicable_order_is_deterministic():
     d = (4, 3, 1, 2, 1)
-    assert applicable(d, 5) == [
+    assert applicable(d) == [
         (TransformLabel.Ia, 1, None),
         (TransformLabel.II, 2, 3),
         (TransformLabel.III, 3, 5),
@@ -148,19 +148,19 @@ def test_applicable_order_is_deterministic():
 
 
 def test_applicable_on_terminal_vectors_is_empty():
-    assert applicable((2, 2, 2), 3) == []
-    assert applicable((2, 2, 1), 3) == []
-    assert applicable((1, 2, 2), 3) == []
+    assert applicable((2, 2, 2)) == []
+    assert applicable((2, 2, 1)) == []
+    assert applicable((1, 2, 2)) == []
 
 
 def test_applicable_lists_the_energy_preserving_merge_too():
-    assert (TransformLabel.III, 1, 4) in applicable((1, 2, 2, 1), 2)
+    assert (TransformLabel.III, 1, 4) in applicable((1, 2, 2, 1))
 
 
 def test_applicable_nearest_partner_only():
     # A non-2 entry between two candidates blocks the pair.
     d = (1, 3, 2, 1)
-    moves = applicable(d, 3)
+    moves = applicable(d)
     assert (TransformLabel.II, 1, 2) in moves
     assert (TransformLabel.III, 1, 4) not in moves
     assert (TransformLabel.II, 2, 4) in moves  # (3,1) with all-2 gap
@@ -170,7 +170,7 @@ def test_applicable_nearest_partner_only():
 def test_applicable_instances_all_apply_cleanly(sa, p):
     s, a = sa
     d = delta(a)
-    for label, u, v in applicable(d, p):
+    for label, u, v in applicable(d):
         after, strict = apply_rule(d, label, u, v, p)
         assert sum(after) == sum(d)
         assert all(x >= 1 for x in after)
@@ -185,7 +185,7 @@ def test_applicable_instances_all_apply_cleanly(sa, p):
 def test_exhausted_vectors_are_maximizers(sa, p):
     s, a = sa
     d = delta(a)
-    if not applicable(d, p):
+    if not applicable(d):
         assert d in canonical_maximizer(PrimePowerOrder(p, s))
 
 
