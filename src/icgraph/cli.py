@@ -58,6 +58,8 @@ EXIT_USAGE = 1
 EXIT_RESOURCE = 2
 EXIT_DISCREPANCY = 3
 
+PMAX_CAP = 10**4  # verify sieves p <= pmax before sweeping
+
 
 class UsageError(Exception):
     """Bad command line or invalid instance; maps to exit code 1."""
@@ -291,6 +293,8 @@ def cmd_verify(args):
         raise ResourceLimitError(
             f"--smax {args.smax} exceeds the enumeration cap {PRIME_POWER_EXPONENT_CAP}"
         )
+    if args.pmax > PMAX_CAP:
+        raise ResourceLimitError(f"--pmax {args.pmax} exceeds the sweep cap {PMAX_CAP}")
     if args.pmax < 2:
         raise UsageError(f"--pmax must be >= 2, got {args.pmax}")
     if args.smax < 1:

@@ -32,11 +32,28 @@ from .model import (
     check_exponent_tuple,
     delta_inverse,
 )
-from .numtheory import divisors, is_prime, ramanujan_sum
+from .numtheory import check_int, divisors, is_prime, ramanujan_sum
 
 # energy_general / spectrum_gcd_graph refuse larger n; the per-order
 # gcd histogram pass is O(n log n) and meant for desk-scale checking.
 SPECTRAL_N_CAP = 10**6
+
+
+def _pair_sum(p: int, a: tuple[int, ...], top: int) -> int:
+    """T = sum over pairs k < i of p^(top - (a_i - a_k)), for top >= a_r - a_1.
+
+    Counts the pairs at each gap g (small ints), then evaluates
+    sum_g N(g) p^(top - g) by Horner's rule in p.
+    """
+    span = a[-1] - a[0]
+    counts = [0] * (span + 1)
+    for i, y in enumerate(a):
+        for x in a[:i]:
+            counts[y - x] += 1
+    t = 0
+    for count in counts[1:]:
+        t = t * p + count
+    return t * p ** (top - span)
 
 
 def h_value(p: int, a: Sequence[int]) -> Fraction:
@@ -48,14 +65,8 @@ def h_value(p: int, a: Sequence[int]) -> Fraction:
         raise ValueError(f"p must be prime, got {p}")
     a = tuple(a)
     check_exponent_tuple(a, a[-1] + 1 if a else 1)
-    if len(a) == 1:
-        return Fraction(0)
     span = a[-1] - a[0]
-    t = 0
-    for k in range(len(a)):
-        for i in range(k + 1, len(a)):
-            t += p ** (span - (a[i] - a[k]))
-    return Fraction(t, p**span)
+    return Fraction(_pair_sum(p, a, span), p**span)
 
 
 def energy_prime_power(order: PrimePowerOrder, a: Sequence[int]) -> int:
@@ -67,12 +78,8 @@ def energy_prime_power(order: PrimePowerOrder, a: Sequence[int]) -> int:
     """
     p, s = order.p, order.s
     a = check_exponent_tuple(a, s)
-    r = len(a)
-    t = 0
-    for k in range(r):
-        for i in range(k + 1, r):
-            t += p ** (s - 1 - (a[i] - a[k]))
-    return 2 * (p - 1) * (r * p ** (s - 1) - (p - 1) * t)
+    t = _pair_sum(p, a, s - 1)
+    return 2 * (p - 1) * (len(a) * p ** (s - 1) - (p - 1) * t)
 
 
 @lru_cache(maxsize=4096)
@@ -216,8 +223,7 @@ def h_equidistant(p: int, s: int) -> Fraction:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 2:
-        raise ValueError(f"s must be an int >= 2, got {s!r}")
+    check_int(s, "s", 2)
     sq = (p * p - 1) ** 2
     if s % 2:
         return Fraction((s - 1) * p ** (s + 1) - (s + 1) * p ** (s - 1) + 2, 2 * sq * p ** (s - 1))
@@ -249,9 +255,7 @@ def koolen_moulton_check(n: int, energy: int) -> bool:
 
     E <= (n/2)(sqrt(n)+1)  iff  t := 2E - n satisfies t <= 0 or t^2 <= n^3.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an int >= 1, got {n!r}")
-    if not isinstance(energy, int) or isinstance(energy, bool) or energy < 0:
-        raise ValueError(f"energy must be an int >= 0, got {energy!r}")
+    check_int(n, "n", 1)
+    check_int(energy, "energy", 0)
     t = 2 * energy - n
     return t <= 0 or t * t <= n**3

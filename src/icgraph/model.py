@@ -17,11 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .numtheory import is_prime
-
-
-class ResourceLimitError(RuntimeError):
-    """An input exceeds a documented enumeration or scan cap."""
+# ResourceLimitError is defined in numtheory and re-exported here.
+from .numtheory import ResourceLimitError, check_int, is_prime
 
 
 @dataclass(frozen=True)
@@ -34,8 +31,7 @@ class PrimePowerOrder:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        if not isinstance(self.s, int) or isinstance(self.s, bool) or self.s < 1:
-            raise ValueError(f"s must be an int >= 1, got {self.s!r}")
+        check_int(self.s, "s", 1)
 
     @property
     def n(self) -> int:
@@ -51,8 +47,7 @@ def check_exponent_tuple(a: Sequence[int], s: int) -> tuple[int, ...]:
     if not a:
         raise ValueError("exponent tuple must be nonempty")
     for x in a:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"exponent entries must be ints, got {x!r}")
+        check_int(x, "exponent entry")
     if any(a[i] >= a[i + 1] for i in range(len(a) - 1)):
         raise ValueError(f"exponents must be strictly increasing, got {a}")
     if a[0] < 0:
@@ -86,8 +81,7 @@ def check_delta(d: Sequence[int]) -> tuple[int, ...]:
     if not d:
         raise ValueError("delta vector must be nonempty")
     for x in d:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ValueError(f"delta entries must be ints >= 1, got {d}")
+        check_int(x, "delta entry", 1)
     return d
 
 
@@ -125,14 +119,12 @@ def divisor_set_of(a: Sequence[int], order: PrimePowerOrder) -> tuple[int, ...]:
 
 def check_divisor_set(n: int, divisors: Iterable[int]) -> tuple[int, ...]:
     """Canonicalize a divisor set for order n: sorted, nonempty, proper divisors only."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    check_int(n, "n", 1)
     ds = sorted(set(divisors))
     if not ds:
         raise ValueError("divisor set must be nonempty")
     for d in ds:
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise ValueError(f"divisors must be ints >= 1, got {d!r}")
+        check_int(d, "divisor", 1)
         if n % d != 0:
             raise ValueError(f"{d} does not divide n = {n}")
         if d == n:

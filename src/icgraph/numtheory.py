@@ -1,72 +1,141 @@
 """Arithmetic functions on positive integers.
 
 Primality testing, factorization, Moebius mu, Euler phi, divisor lists,
-prime sieves and Ramanujan sums. Everything works on Python ints, which
-are arbitrary precision, and everything here is a pure function.
+prime sieves and Ramanujan sums, plus the one int validator (check_int)
+and the resource error the whole package raises. Everything works on
+Python ints, which are arbitrary precision, and everything here is a
+pure function.
 
-Factorization is deterministic trial division, so general (non prime
-power) inputs should stay at desk scale (<= 10^12 or so). Prime powers
-are never factored by the rest of the library; their (p, s) shape is
-given explicitly.
+Every call ends in bounded time. is_prime is deterministic Miller-Rabin
+on the primes 2..41 as bases, exact below MILLER_RABIN_BOUND; a larger
+n that base 2 does not prove composite raises ResourceLimitError rather
+than being reported prime. factorize trial-divides up to
+TRIAL_DIVISION_BOUND and keeps a leftover cofactor only when it is a
+prime or a power of one; otherwise it raises ResourceLimitError. Prime
+powers are never factored by the rest of the library; their (p, s)
+shape is given explicitly.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Iterator, Optional
+
+# Sorenson & Webster (2015): the first 13 primes as Miller-Rabin bases
+# decide primality exactly for every n below this bound.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+TRIAL_DIVISION_BOUND = 10**6
 
 
-def _check_positive(n: int, what: str = "n") -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"{what} must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError(f"{what} must be >= 1, got {n}")
+class ResourceLimitError(RuntimeError):
+    """An input exceeds a documented enumeration, scan or factorization cap."""
+
+
+def check_int(value: int, what: str, minimum: Optional[int] = None) -> None:
+    """Require an int (not a bool), at least `minimum` when given."""
+    if not isinstance(value, int) or isinstance(value, bool) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{what} must be an int{bound}, got {value!r}")
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (6k +- 1 wheel)."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"expected an int, got {n!r}")
+    """Deterministic Miller-Rabin primality for n < MILLER_RABIN_BOUND.
+
+    Above the bound only base 2 is tried, as one modular power of n
+    costs seconds at thousands of digits: a witness proves n composite,
+    and a number it does not refute raises ResourceLimitError.
+    """
+    check_int(n, "n")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    for b in MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, twos = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    exact = n < MILLER_RABIN_BOUND
+    for b in MILLER_RABIN_BASES if exact else MILLER_RABIN_BASES[:1]:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
+    if not exact:
+        raise ResourceLimitError(
+            f"cannot decide primality of {n} >= {MILLER_RABIN_BOUND} exactly"
+        )
     return True
+
+
+def _trial_divisors() -> Iterator[int]:
+    yield 2
+    yield 3
+    for f in range(5, TRIAL_DIVISION_BOUND + 1, 6):
+        yield f
+        yield f + 2
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest x with x**k <= n, for n >= 1 and k >= 1 (integer Newton)."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_power(m: int) -> tuple[int, int]:
+    """(q, k) with m = q**k and q prime, for m with no prime factor <= 2^19.
+
+    The largest k with an exact k-th root leaves a q that is no perfect
+    power; since q > 2^19, k is at most (bits(m) - 1) // 19.
+    """
+    low_bits = TRIAL_DIVISION_BOUND.bit_length() - 1
+    for k in range((m.bit_length() - 1) // low_bits, 0, -1):
+        q = _iroot(m, k)
+        if q**k == m:
+            if is_prime(q):
+                return q, k
+            break
+    raise ResourceLimitError(
+        f"{m} has no prime factor <= {TRIAL_DIVISION_BOUND} and is not a prime power"
+    )
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as [(prime, multiplicity), ...].
 
     Primes come out strictly increasing and the product of p**m
-    reconstructs n. factorize(1) == [].
+    reconstructs n. factorize(1) == []. Raises ResourceLimitError when
+    what is left after trial division is neither a prime nor a prime
+    power.
     """
-    _check_positive(n)
+    check_int(n, "n", 1)
     out: list[tuple[int, int]] = []
     rest = n
-    for p in (2, 3):
-        if rest % p == 0:
+    for f in _trial_divisors():
+        if f * f > rest:
+            break
+        if rest % f == 0:
             m = 0
-            while rest % p == 0:
-                rest //= p
+            while rest % f == 0:
+                rest //= f
                 m += 1
-            out.append((p, m))
-    f = 5
-    while f * f <= rest:
-        for p in (f, f + 2):
-            if rest % p == 0:
-                m = 0
-                while rest % p == 0:
-                    rest //= p
-                    m += 1
-                out.append((p, m))
-        f += 6
+            out.append((f, m))
+    else:
+        out.append(_prime_power(rest))
+        return out
     if rest > 1:
         out.append((rest, 1))
     return out
@@ -74,7 +143,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def mobius(n: int) -> int:
     """Moebius mu: 0 if a square divides n, else (-1)^(number of prime factors)."""
-    _check_positive(n)
     result = 1
     for _, m in factorize(n):
         if m > 1:
@@ -85,7 +153,6 @@ def mobius(n: int) -> int:
 
 def totient(n: int) -> int:
     """Euler phi: count of 1 <= k <= n with gcd(k, n) = 1."""
-    _check_positive(n)
     result = n
     for p, _ in factorize(n):
         result -= result // p
@@ -94,7 +161,6 @@ def totient(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, increasing."""
-    _check_positive(n)
     out = [1]
     for p, m in factorize(n):
         out = [d * p**e for d in out for e in range(m + 1)]
@@ -107,9 +173,8 @@ def ramanujan_sum(q: int, k: int) -> int:
     Evaluated as mu(q/g) * phi(q) / phi(q/g) with g = gcd(q, k); the
     quotient is always an integer. Depends on k only through gcd(q, k).
     """
-    _check_positive(q, "q")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be an int >= 0, got {k!r}")
+    check_int(q, "q", 1)
+    check_int(k, "k", 0)
     g = math.gcd(q, k)
     m = q // g
     mu = mobius(m)

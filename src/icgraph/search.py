@@ -27,7 +27,7 @@ from .model import (
     admissible_context,
     divisor_set_of,
 )
-from .numtheory import divisors, is_prime
+from .numtheory import check_int, divisors, is_prime
 
 PRIME_POWER_EXPONENT_CAP = 20  # 2^s subsets enumerated
 ENUMERATION_N_CAP = 10**4
@@ -128,8 +128,7 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
 
     Caps: n <= 10^4 and at most 2^20 subsets.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"n must be an int >= 2, got {n!r}")
+    check_int(n, "n", 2)
     if n > ENUMERATION_N_CAP:
         raise ResourceLimitError(f"n = {n} exceeds the enumeration cap {ENUMERATION_N_CAP}")
     proper = tuple(d for d in divisors(n) if d != n)
@@ -176,7 +175,9 @@ def derivative(a: Sequence[int], u: int, v: int) -> tuple[int, ...]:
     _, r = admissible_context(a)
     if r < 3:
         raise ValueError(f"derivative needs r >= 3, got {tuple(a)}")
-    if not (isinstance(u, int) and isinstance(v, int) and 1 <= u < v <= r - 1):
+    check_int(u, "u")
+    check_int(v, "v")
+    if not 1 <= u < v <= r - 1:
         raise ValueError(f"need 1 <= u < v <= r-1 = {r - 1}, got u={u!r}, v={v!r}")
     a = tuple(a)
     out = a[:u] + tuple(a[j] + 1 for j in range(u, v - 1)) + a[v:]

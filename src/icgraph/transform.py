@@ -9,7 +9,9 @@ Six rules, written on d = (d_1, ..., d_{r-1}) with positions 1-based:
   IV   d_u = d_v = 3, all-2 gap ->  block of 2s spanning u..v+1 (length +1)
   V    single 1 at 2 <= u <= r-2, rest 2s  ->  (2, ..., 2, 1)   (length =)
 
-Each application strictly increases the gcd-graph energy for every
+applicable states these preconditions and lists every instance that
+meets them; apply_rule rewrites an instance only when applicable lists
+it. Each application strictly increases the gcd-graph energy for every
 prime p, with one exception: rule III on (1, 2, ..., 2, 1) at p = 2
 preserves the energy exactly (recorded as strict=False). normalize
 drives the first applicable rule (label order above, then leftmost)
@@ -23,8 +25,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .energy import emax_closed, energy_prime_power
+from .energy import energy_prime_power
 from .model import PrimePowerOrder, check_delta, delta_inverse
+from .numtheory import check_int
 
 
 class TransformLabel(str, enum.Enum):
@@ -37,90 +40,6 @@ class TransformLabel(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def _entry(d: tuple[int, ...], u: int, what: str = "u") -> int:
-    if not isinstance(u, int) or isinstance(u, bool) or not 1 <= u <= len(d):
-        raise ValueError(f"position {what}={u!r} out of range 1..{len(d)} for {d}")
-    return d[u - 1]
-
-
-def _require_gap_of_twos(d: tuple[int, ...], u: int, v: int) -> None:
-    if not u < v:
-        raise ValueError(f"need u < v, got u={u}, v={v}")
-    bad = [j for j in range(u + 1, v) if d[j - 1] != 2]
-    if bad:
-        raise ValueError(f"entries between u={u} and v={v} must all be 2, got {d}")
-
-
-def apply_Ia(d: Sequence[int], u: int) -> tuple[int, ...]:
-    """Split d_u >= 4 into the adjacent pair (2, d_u - 2)."""
-    d = check_delta(d)
-    if _entry(d, u) < 4:
-        raise ValueError(f"rule Ia needs d_u >= 4, got d_{u}={d[u - 1]} in {d}")
-    return d[: u - 1] + (2, d[u - 1] - 2) + d[u:]
-
-
-def apply_Ib(d: Sequence[int], u: int) -> tuple[int, ...]:
-    """Split d_u = 3 into (2, 1); needs max entry 3 and every entry >= 2."""
-    d = check_delta(d)
-    if _entry(d, u) != 3:
-        raise ValueError(f"rule Ib needs d_u = 3, got d_{u}={d[u - 1]} in {d}")
-    if max(d) != 3:
-        raise ValueError(f"rule Ib needs max entry 3, got {d}")
-    if min(d) < 2:
-        raise ValueError(f"rule Ib needs every entry >= 2, got {d}")
-    return d[: u - 1] + (2, 1) + d[u:]
-
-
-def apply_II(d: Sequence[int], u: int, v: int) -> tuple[int, ...]:
-    """Rebalance (d_u, d_v) in {(1,3), (3,1)} across an all-2 gap to (2, 2)."""
-    d = check_delta(d)
-    pair = (_entry(d, u), _entry(d, v, "v"))
-    if pair not in ((1, 3), (3, 1)):
-        raise ValueError(f"rule II needs (d_u, d_v) = (1,3) or (3,1), got {pair} in {d}")
-    _require_gap_of_twos(d, u, v)
-    out = list(d)
-    out[u - 1] = 2
-    out[v - 1] = 2
-    return tuple(out)
-
-
-def apply_III(d: Sequence[int], u: int, v: int, p: int) -> tuple[tuple[int, ...], bool]:
-    """Merge d_u = d_v = 1 across an all-2 gap into an all-2 block of length v - u.
-
-    Length shrinks by one. Returns (result, strict): strict is False only
-    for p = 2 on the full vector (1, 2, ..., 2, 1), where the energy is
-    preserved exactly; every other instance strictly increases it.
-    """
-    d = check_delta(d)
-    if _entry(d, u) != 1 or _entry(d, v, "v") != 1:
-        raise ValueError(f"rule III needs d_u = d_v = 1, got {d} at u={u}, v={v}")
-    _require_gap_of_twos(d, u, v)
-    out = d[: u - 1] + (2,) * (v - u) + d[v:]
-    strict = not (p == 2 and u == 1 and v == len(d))
-    return out, strict
-
-
-def apply_IV(d: Sequence[int], u: int, v: int) -> tuple[int, ...]:
-    """Merge d_u = d_v = 3 across an all-2 gap into an all-2 block spanning u..v+1."""
-    d = check_delta(d)
-    if _entry(d, u) != 3 or _entry(d, v, "v") != 3:
-        raise ValueError(f"rule IV needs d_u = d_v = 3, got {d} at u={u}, v={v}")
-    _require_gap_of_twos(d, u, v)
-    return d[: u - 1] + (2,) * (v - u + 2) + d[v:]
-
-
-def apply_V(d: Sequence[int], u: int) -> tuple[int, ...]:
-    """Shift a single interior 1 (at 2 <= u <= r-2, all other entries 2) to the end."""
-    d = check_delta(d)
-    if _entry(d, u) != 1:
-        raise ValueError(f"rule V needs d_u = 1, got d_{u}={d[u - 1]} in {d}")
-    if not 2 <= u <= len(d) - 1:
-        raise ValueError(f"rule V needs 2 <= u <= r-2, got u={u} for {d}")
-    if any(d[j] != 2 for j in range(len(d)) if j != u - 1):
-        raise ValueError(f"rule V needs every other entry = 2, got {d}")
-    return (2,) * (len(d) - 1) + (1,)
 
 
 def applicable(d: Sequence[int]) -> list[tuple[TransformLabel, int, Optional[int]]]:
@@ -165,6 +84,35 @@ def applicable(d: Sequence[int]) -> list[tuple[TransformLabel, int, Optional[int
             out.append((TransformLabel.V, ones[0], None))
 
     return out
+
+
+# Extra 2s in the block that replaces d_u..d_v, beyond its v - u entries.
+_BLOCK_EXTRA = {TransformLabel.II: 1, TransformLabel.III: 0, TransformLabel.IV: 2}
+
+
+def apply_rule(
+    d: Sequence[int], label: TransformLabel, u: int, v: Optional[int], p: int
+) -> tuple[tuple[int, ...], bool]:
+    """Rewrite d by one rule instance; returns (result, strict).
+
+    (label, u, v) must be listed by applicable(d), so the preconditions
+    are stated there only. strict is False only for rule III on the
+    whole vector at p = 2, where the energy is preserved exactly.
+    """
+    d = check_delta(d)
+    if not isinstance(label, TransformLabel):
+        raise ValueError(f"label must be a TransformLabel, got {label!r}")
+    check_int(u, "u")
+    if v is not None:
+        check_int(v, "v")
+    if (label, u, v) not in applicable(d):
+        raise ValueError(f"rule {label} does not apply at u={u}, v={v} to {d}")
+    if label is TransformLabel.V:
+        return (2,) * (len(d) - 1) + (1,), True
+    if v is None:
+        return d[: u - 1] + (2, d[u - 1] - 2) + d[u:], True
+    strict = not (label is TransformLabel.III and p == 2 and u == 1 and v == len(d))
+    return d[: u - 1] + (2,) * (v - u + _BLOCK_EXTRA[label]) + d[v:], strict
 
 
 @dataclass(frozen=True)
@@ -222,35 +170,6 @@ class Trace:
         return self.steps[0].before if self.steps else self.terminal
 
 
-def apply_rule(
-    d: Sequence[int],
-    label: TransformLabel,
-    u: int,
-    v: Optional[int],
-    p: int,
-) -> tuple[tuple[int, ...], bool]:
-    """Dispatch one rule instance; returns (result, strict)."""
-    if label is TransformLabel.Ia:
-        return apply_Ia(d, u), True
-    if label is TransformLabel.Ib:
-        return apply_Ib(d, u), True
-    if label is TransformLabel.II:
-        if v is None:
-            raise ValueError("rule II needs v")
-        return apply_II(d, u, v), True
-    if label is TransformLabel.III:
-        if v is None:
-            raise ValueError("rule III needs v")
-        return apply_III(d, u, v, p)
-    if label is TransformLabel.IV:
-        if v is None:
-            raise ValueError("rule IV needs v")
-        return apply_IV(d, u, v), True
-    if label is TransformLabel.V:
-        return apply_V(d, u), True
-    raise ValueError(f"unknown label {label!r}")
-
-
 def canonical_maximizer(order: PrimePowerOrder) -> list[tuple[int, ...]]:
     """The maximal-energy delta vectors for p^s, s >= 2.
 
@@ -295,18 +214,7 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
         label, u, v = instances[0]
         after, strict = apply_rule(d, label, u, v, p)
         energy_after = energy_prime_power(order, delta_inverse(after))
-        steps.append(
-            TransformStep(
-                label=label,
-                u=u,
-                v=v,
-                before=d,
-                after=after,
-                energy_before=energy,
-                energy_after=energy_after,
-                strict=strict,
-            )
-        )
+        steps.append(TransformStep(label, u, v, d, after, energy, energy_after, strict))
         d, energy = after, energy_after
     if d not in canonical_maximizer(order):
         raise RuntimeError(f"terminal {d} is not a maximal-energy vector for {order}")

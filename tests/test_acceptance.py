@@ -13,6 +13,7 @@ import mpmath
 
 from icgraph import (
     PrimePowerOrder,
+    TransformLabel,
     applicable,
     apply_rule,
     brute_force_emax_general,
@@ -32,7 +33,8 @@ from icgraph import (
     tableau_reduction_check,
 )
 from icgraph.numtheory import primes_up_to
-from icgraph.transform import apply_Ia, apply_Ib, apply_II, apply_III, apply_IV, apply_V
+
+Ia, Ib, II, III, IV, V = TransformLabel  # definition order
 
 
 def _finish(name: str, budget: float, started: float) -> None:
@@ -57,21 +59,21 @@ KNOWN_ROWS = [
 ]
 
 
-def _mirror_split(d, u):
+def _mirror_split(d, u, p):
     rev = tuple(reversed(d))
-    return tuple(reversed(apply_Ib(rev, u)))
+    return tuple(reversed(apply_rule(rev, Ib, u, None, p)[0]))
 
 
 KNOWN_MOVES = [
-    lambda d, p: apply_Ia(d, 1),
-    lambda d, p: apply_Ia(d, 9),
-    lambda d, p: apply_Ia(d, 10),
-    lambda d, p: apply_III(d, 8, 12, p)[0],
-    lambda d, p: apply_II(d, 3, 4),
-    lambda d, p: apply_III(d, 7, 12, p)[0],
-    lambda d, p: apply_IV(d, 5, 12),
-    lambda d, p: _mirror_split(d, 13),
-    lambda d, p: apply_V(d, 2),
+    lambda d, p: apply_rule(d, Ia, 1, None, p)[0],
+    lambda d, p: apply_rule(d, Ia, 9, None, p)[0],
+    lambda d, p: apply_rule(d, Ia, 10, None, p)[0],
+    lambda d, p: apply_rule(d, III, 8, 12, p)[0],
+    lambda d, p: apply_rule(d, II, 3, 4, p)[0],
+    lambda d, p: apply_rule(d, III, 7, 12, p)[0],
+    lambda d, p: apply_rule(d, IV, 5, 12, p)[0],
+    lambda d, p: _mirror_split(d, 13, p),
+    lambda d, p: apply_rule(d, V, 2, None, p)[0],
 ]
 
 
@@ -157,7 +159,7 @@ def test_acceptance_06_rule_applications_increase_energy():
     for s in range(3, 25, 2):
         d = (1,) + (2,) * ((s - 3) // 2) + (1,)
         order = PrimePowerOrder(2, s)
-        after, strict = apply_III(d, 1, len(d), 2)
+        after, strict = apply_rule(d, III, 1, len(d), 2)
         assert strict is False
         e0 = energy_prime_power(order, delta_inverse(d))
         e1 = energy_prime_power(order, delta_inverse(after))

@@ -237,6 +237,36 @@ def test_resource_caps_exit_2(capsys):
     assert code == 2
 
 
+def test_verify_caps_pmax_before_the_sieve(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieve asked for {limit}")
+
+    monkeypatch.setattr(cli, "primes_up_to", no_sieve)
+    for pmax in (cli.PMAX_CAP + 1, 10**30):
+        code, out, err = run_cli(capsys, ["verify", "--pmax", str(pmax), "--smax", "1"])
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # a 25-digit prime p: trial division would not finish
+        (["emin", "--p", "1000000000000000000000007", "--s", "2"], 0),
+        # the semiprime (10^9 + 7)(10^9 + 9): no factor below the trial bound
+        (["energy", "--n", "1000000016000000063", "--divisors", "1"], 2),
+        # a prime square beyond the trial bound still factors
+        (["energy", "--n", str((10**9 + 7) ** 2), "--divisors", "1"], 0),
+    ],
+)
+def test_large_numbers_end_in_bounded_time(argv, expected):
+    proc = subprocess.run(
+        [sys.executable, "-m", "icgraph", *argv], capture_output=True, timeout=20
+    )
+    assert proc.returncode == expected, proc.stderr
+
+
 def test_closed_form_mismatch_exits_3(capsys, monkeypatch):
     value, tuples = cli.emax_closed(cli.PrimePowerOrder(2, 3))
     monkeypatch.setattr(cli, "emax_closed", lambda order: (value + 2, tuples))

@@ -1,6 +1,7 @@
 """Energies: closed form vs spectral oracle vs dense eigensolver, extremal values."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,43 @@ def test_energy_prime_power_rejects_wrong_shape():
         energy_prime_power(PrimePowerOrder(2, 3), (0, 3))
     with pytest.raises(ValueError):
         energy_prime_power(PrimePowerOrder(2, 3), ())
+
+
+def _direct_energy(p, s, a):
+    """E = 2(p-1)(r p^(s-1) - (p-1) T) with T as a plain double sum over pairs."""
+    t = sum(p ** (s - 1 - (a[i] - a[k])) for k in range(len(a)) for i in range(k + 1, len(a)))
+    return 2 * (p - 1) * (len(a) * p ** (s - 1) - (p - 1) * t)
+
+
+@st.composite
+def _any_exponent_tuple(draw):
+    """(p, s, a) with a any nonempty increasing tuple in [0, s), admissible or not."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    s = draw(st.integers(min_value=1, max_value=24))
+    a = draw(st.sets(st.integers(min_value=0, max_value=s - 1), min_size=1))
+    return p, s, tuple(sorted(a))
+
+
+@given(_any_exponent_tuple())
+def test_pair_sum_kernel_matches_direct_double_sums(psa):
+    p, s, a = psa
+    assert energy_prime_power(PrimePowerOrder(p, s), a) == _direct_energy(p, s, a)
+    pairs = [(k, i) for k in range(len(a)) for i in range(k + 1, len(a))]
+    assert h_value(p, a) == sum((Fraction(1, p ** (a[i] - a[k])) for k, i in pairs), Fraction(0))
+
+
+@pytest.mark.parametrize("p, s", [(2, 600), (3, 600), (2, 1000), (5, 1000)])
+def test_pair_sum_kernel_matches_direct_double_sums_at_large_s(p, s):
+    rng = random.Random(s * p)
+    a = tuple(sorted(rng.sample(range(s), s // 2)))
+    admissible = tuple(sorted({0, s - 1, *a[1:-1]}))
+    for exps in (a, admissible):
+        assert energy_prime_power(PrimePowerOrder(p, s), exps) == _direct_energy(p, s, exps)
+    span = admissible[-1] - admissible[0]
+    t = sum(
+        p ** (span - (y - x)) for k, x in enumerate(admissible) for y in admissible[k + 1 :]
+    )
+    assert h_value(p, admissible) == Fraction(t, p**span)
 
 
 @given(order_and_tuple(max_s=18))

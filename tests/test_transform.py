@@ -17,15 +17,7 @@ from icgraph import (
     energy_prime_power,
     normalize,
 )
-from icgraph.transform import (
-    Trace,
-    apply_Ia,
-    apply_Ib,
-    apply_II,
-    apply_III,
-    apply_IV,
-    apply_V,
-)
+from icgraph.transform import Trace
 
 from helpers import SMALL_PRIMES, exponent_tuples
 
@@ -37,103 +29,124 @@ def _energy(p, d):
 
 # ---------------------------------------------------------------- single rules
 
+Ia, Ib, II, III, IV, V = TransformLabel  # definition order
+P = 3  # the prime matters only to rule III's strict flag
+
+
 def test_rule_Ia_splits_large_entries():
-    assert apply_Ia((4,), 1) == (2, 2)
-    assert apply_Ia((2, 5, 2), 2) == (2, 2, 3, 2)
-    assert apply_Ia((5, 1, 6), 3) == (5, 1, 2, 4)
+    assert apply_rule((4,), Ia, 1, None, P) == ((2, 2), True)
+    assert apply_rule((2, 5, 2), Ia, 2, None, P) == ((2, 2, 3, 2), True)
+    assert apply_rule((5, 1, 6), Ia, 3, None, P) == ((5, 1, 2, 4), True)
 
 
 def test_rule_Ia_applies_even_when_not_the_maximum():
     # Only d_u >= 4 matters; a larger entry elsewhere does not block it.
-    assert apply_Ia((4, 1, 6), 1) == (2, 2, 1, 6)
+    assert apply_rule((4, 1, 6), Ia, 1, None, P) == ((2, 2, 1, 6), True)
 
 
 def test_rule_Ia_rejects_small_entries():
     with pytest.raises(ValueError):
-        apply_Ia((3, 2), 1)
+        apply_rule((3, 2), Ia, 1, None, P)
     with pytest.raises(ValueError):
-        apply_Ia((4,), 2)
+        apply_rule((4,), Ia, 2, None, P)
 
 
 def test_rule_Ib_splits_a_three_when_all_entries_exceed_one():
-    assert apply_Ib((3,), 1) == (2, 1)
-    assert apply_Ib((2, 3, 2), 2) == (2, 2, 1, 2)
+    assert apply_rule((3,), Ib, 1, None, P) == ((2, 1), True)
+    assert apply_rule((2, 3, 2), Ib, 2, None, P) == ((2, 2, 1, 2), True)
 
 
 def test_rule_Ib_rejects_wrong_context():
     with pytest.raises(ValueError):
-        apply_Ib((3, 1), 1)
+        apply_rule((3, 1), Ib, 1, None, P)
     with pytest.raises(ValueError):
-        apply_Ib((4, 3), 2)
+        apply_rule((4, 3), Ib, 2, None, P)
     with pytest.raises(ValueError):
-        apply_Ib((2, 2), 1)
+        apply_rule((2, 2), Ib, 1, None, P)
 
 
 def test_rule_II_rebalances_one_three_pairs():
-    assert apply_II((1, 3), 1, 2) == (2, 2)
-    assert apply_II((3, 1), 1, 2) == (2, 2)
-    assert apply_II((1, 2, 2, 3), 1, 4) == (2, 2, 2, 2)
-    assert apply_II((5, 3, 2, 1), 2, 4) == (5, 2, 2, 2)
+    assert apply_rule((1, 3), II, 1, 2, P) == ((2, 2), True)
+    assert apply_rule((3, 1), II, 1, 2, P) == ((2, 2), True)
+    assert apply_rule((1, 2, 2, 3), II, 1, 4, P) == ((2, 2, 2, 2), True)
+    assert apply_rule((5, 3, 2, 1), II, 2, 4, P) == ((5, 2, 2, 2), True)
 
 
 def test_rule_II_requires_all_twos_between():
     with pytest.raises(ValueError):
-        apply_II((1, 3, 3), 1, 3)
+        apply_rule((1, 3, 3), II, 1, 3, P)
     with pytest.raises(ValueError):
-        apply_II((1, 1, 3), 1, 3)
+        apply_rule((1, 1, 3), II, 1, 3, P)
     with pytest.raises(ValueError):
-        apply_II((2, 2), 1, 2)
+        apply_rule((2, 2), II, 1, 2, P)
 
 
 def test_rule_III_merges_two_ones():
-    assert apply_III((1, 2, 1), 1, 3, 3) == ((2, 2), True)
-    assert apply_III((2, 1, 1, 2), 2, 3, 2) == ((2, 2, 2), True)
-    assert apply_III((1, 1), 1, 2, 3) == ((2,), True)
+    assert apply_rule((1, 2, 1), III, 1, 3, 3) == ((2, 2), True)
+    assert apply_rule((2, 1, 1, 2), III, 2, 3, 2) == ((2, 2, 2), True)
+    assert apply_rule((1, 1), III, 1, 2, 3) == ((2,), True)
 
 
 def test_rule_III_energy_preserving_case_is_flagged():
-    out, strict = apply_III((1, 2, 2, 1), 1, 4, 2)
+    out, strict = apply_rule((1, 2, 2, 1), III, 1, 4, 2)
     assert out == (2, 2, 2)
     assert strict is False
     # Same shape at an odd prime is strict.
-    out, strict = apply_III((1, 2, 2, 1), 1, 4, 3)
+    out, strict = apply_rule((1, 2, 2, 1), III, 1, 4, 3)
     assert strict is True
     # p = 2 but not spanning the whole vector is strict.
-    out, strict = apply_III((2, 1, 2, 1), 2, 4, 2)
+    out, strict = apply_rule((2, 1, 2, 1), III, 2, 4, 2)
     assert strict is True
 
 
 def test_rule_IV_merges_two_threes():
-    assert apply_IV((3, 3), 1, 2) == (2, 2, 2)
-    assert apply_IV((3, 2, 3), 1, 3) == (2, 2, 2, 2)
-    assert apply_IV((2, 3, 2, 3, 1), 2, 4) == (2, 2, 2, 2, 2, 1)
+    assert apply_rule((3, 3), IV, 1, 2, P) == ((2, 2, 2), True)
+    assert apply_rule((3, 2, 3), IV, 1, 3, P) == ((2, 2, 2, 2), True)
+    assert apply_rule((2, 3, 2, 3, 1), IV, 2, 4, P) == ((2, 2, 2, 2, 2, 1), True)
 
 
 def test_rule_V_shifts_a_single_interior_one_to_the_end():
-    assert apply_V((2, 1, 2), 2) == (2, 2, 1)
-    assert apply_V((2, 2, 1, 2, 2), 3) == (2, 2, 2, 2, 1)
+    assert apply_rule((2, 1, 2), V, 2, None, P) == ((2, 2, 1), True)
+    assert apply_rule((2, 2, 1, 2, 2), V, 3, None, P) == ((2, 2, 2, 2, 1), True)
 
 
 def test_rule_V_rejects_wrong_context():
     with pytest.raises(ValueError):
-        apply_V((1, 2, 2), 1)
+        apply_rule((1, 2, 2), V, 1, None, P)
     with pytest.raises(ValueError):
-        apply_V((2, 2, 1), 3)
+        apply_rule((2, 2, 1), V, 3, None, P)
     with pytest.raises(ValueError):
-        apply_V((2, 1, 3), 2)
+        apply_rule((2, 1, 3), V, 2, None, P)
 
 
 def test_rules_preserve_the_entry_sum():
     cases = [
-        (apply_Ia((2, 5, 2), 2), (2, 5, 2)),
-        (apply_Ib((2, 3, 2), 2), (2, 3, 2)),
-        (apply_II((1, 2, 3), 1, 3), (1, 2, 3)),
-        (apply_III((1, 2, 1), 1, 3, 5)[0], (1, 2, 1)),
-        (apply_IV((3, 2, 3), 1, 3), (3, 2, 3)),
-        (apply_V((2, 1, 2), 2), (2, 1, 2)),
+        (apply_rule((2, 5, 2), Ia, 2, None, P)[0], (2, 5, 2)),
+        (apply_rule((2, 3, 2), Ib, 2, None, P)[0], (2, 3, 2)),
+        (apply_rule((1, 2, 3), II, 1, 3, P)[0], (1, 2, 3)),
+        (apply_rule((1, 2, 1), III, 1, 3, 5)[0], (1, 2, 1)),
+        (apply_rule((3, 2, 3), IV, 1, 3, P)[0], (3, 2, 3)),
+        (apply_rule((2, 1, 2), V, 2, None, P)[0], (2, 1, 2)),
     ]
     for after, before in cases:
         assert sum(after) == sum(before)
+
+
+@pytest.mark.parametrize(
+    "label, u, v",
+    [
+        (Ia, True, None),  # True == 1, but a bool is no position
+        ("Ia", 1, None),  # a str equals its label, but is not one
+        (Ia, 1.0, None),
+        (Ia, 1, 2),  # Ia takes no v
+        (III, 1, 2),  # listed nowhere by applicable
+    ],
+)
+def test_apply_rule_refuses_instances_applicable_does_not_list(label, u, v):
+    d = (4, 1)
+    assert applicable(d) == [(Ia, 1, None)]
+    with pytest.raises(ValueError):
+        apply_rule(d, label, u, v, P)
 
 
 # ---------------------------------------------------------------- applicability
