@@ -63,8 +63,7 @@ def h_value(p: int, a: Sequence[int]) -> Fraction:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    a = tuple(a)
-    check_exponent_tuple(a, a[-1] + 1 if a else 1)
+    a = check_exponent_tuple(a, math.inf)  # h puts no bound on the top exponent
     span = a[-1] - a[0]
     return Fraction(_pair_sum(p, a, span), p**span)
 
@@ -105,18 +104,25 @@ def _eigenvalue_classes(n: int, d: int) -> tuple[int, ...]:
     return tuple(ramanujan_sum(q, g) for g in _divisor_tuple(n))
 
 
+def _class_eigenvalues(n: int, divisor_set: Iterable[int]) -> list[int]:
+    """lambda on each gcd class g of n (ascending): sum over d in D of c_{n/d}(g).
+
+    Validates D and the size cap before any O(n) work.
+    """
+    ds = check_divisor_set(n, divisor_set)
+    if n > SPECTRAL_N_CAP:
+        raise ResourceLimitError(f"n = {n} exceeds the spectral scan cap {SPECTRAL_N_CAP}")
+    return [sum(column) for column in zip(*(_eigenvalue_classes(n, d) for d in ds))]
+
+
 def spectrum_gcd_graph(n: int, divisor_set: Iterable[int]) -> list[int]:
     """Eigenvalues lambda_0..lambda_{n-1} of the gcd graph on Z/nZ.
 
     lambda_k = sum_{d in D} c_{n/d}(k); all integers. lambda_0 equals the
     degree sum_{d in D} phi(n/d), and the whole list sums to 0.
     """
-    ds = check_divisor_set(n, divisor_set)
-    if n > SPECTRAL_N_CAP:
-        raise ResourceLimitError(f"n = {n} exceeds the spectral scan cap {SPECTRAL_N_CAP}")
-    gs = _divisor_tuple(n)
-    index = {g: i for i, g in enumerate(gs)}
-    by_class = [sum(_eigenvalue_classes(n, d)[i] for d in ds) for i in range(len(gs))]
+    by_class = _class_eigenvalues(n, divisor_set)
+    index = {g: i for i, g in enumerate(_divisor_tuple(n))}
     return [by_class[index[math.gcd(k, n)]] for k in range(n)]
 
 
@@ -127,16 +133,8 @@ def energy_general(n: int, divisor_set: Iterable[int]) -> int:
     by gcd class (one cached histogram pass per n). Exact integer result,
     identical to summing |.| over spectrum_gcd_graph. Cap: n <= 10^6.
     """
-    ds = check_divisor_set(n, divisor_set)
-    if n > SPECTRAL_N_CAP:
-        raise ResourceLimitError(f"n = {n} exceeds the spectral scan cap {SPECTRAL_N_CAP}")
-    counts = _gcd_class_counts(n)
-    vectors = [_eigenvalue_classes(n, d) for d in ds]
-    total = 0
-    for i, count in enumerate(counts):
-        lam = sum(vec[i] for vec in vectors)
-        total += count * abs(lam)
-    return total
+    by_class = _class_eigenvalues(n, divisor_set)
+    return sum(count * abs(lam) for count, lam in zip(_gcd_class_counts(n), by_class))
 
 
 def emin_closed(order: PrimePowerOrder) -> tuple[int, list[tuple[int, ...]]]:

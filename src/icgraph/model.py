@@ -120,11 +120,13 @@ def divisor_set_of(a: Sequence[int], order: PrimePowerOrder) -> tuple[int, ...]:
 def check_divisor_set(n: int, divisors: Iterable[int]) -> tuple[int, ...]:
     """Canonicalize a divisor set for order n: sorted, nonempty, proper divisors only."""
     check_int(n, "n", 1)
-    ds = sorted(set(divisors))
+    ds = tuple(divisors)
+    for d in ds:
+        check_int(d, "divisor", 1)
+    ds = sorted(set(ds))
     if not ds:
         raise ValueError("divisor set must be nonempty")
     for d in ds:
-        check_int(d, "divisor", 1)
         if n % d != 0:
             raise ValueError(f"{d} does not divide n = {n}")
         if d == n:

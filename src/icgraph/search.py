@@ -2,10 +2,13 @@
 
 Brute-force enumeration over all nonempty divisor sets is the
 independent verifier for the closed-form maximal energies: it never
-touches the closed forms, only the energy evaluators. Enumeration is
-over bitmasks, optionally split across processes; the merge is
-deterministic (ties collected, then sorted), so reports are identical
-for any worker count.
+touches the closed forms, only the energy evaluators. One bitmask
+enumerator scores every subset of a tuple of items by either route:
+exponents 0..s-1 by the prime-power pair-sum formula, proper divisors
+of n by the spectral route. The masks are optionally split across
+worker processes (the pool is imported only when more than one runs);
+the merge is deterministic (ties collected, then sorted), so reports
+are identical for any worker count.
 
 Also here: the (u, v)-derivative of an admissible tuple and the exact
 reduction identity relating h(a) to h of its derivative across a run
@@ -15,10 +18,10 @@ of gap-2 entries, used as a test oracle.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .energy import emax_closed, energy_general, energy_prime_power, h_value
 from .model import (
@@ -58,31 +61,13 @@ def _mask_range_chunks(total: int, jobs: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(jobs) if bounds[i] < bounds[i + 1]]
 
 
-def _prime_power_chunk(
-    p: int, s: int, lo: int, hi: int
-) -> tuple[int, list[tuple[int, ...]], int]:
-    order = PrimePowerOrder(p, s)
+def _best_subsets(score: Callable[[tuple], int], items: tuple, lo: int, hi: int):
+    """Best score over the subsets of `items` with masks in [lo, hi), and its ties."""
     best = -1
-    ties: list[tuple[int, ...]] = []
+    ties: list[tuple] = []
     for mask in range(lo, hi):
-        a = tuple(e for e in range(s) if mask >> e & 1)
-        value = energy_prime_power(order, a)
-        if value > best:
-            best = value
-            ties = [divisor_set_of(a, order)]
-        elif value == best:
-            ties.append(divisor_set_of(a, order))
-    return best, ties, hi - lo
-
-
-def _general_chunk(
-    n: int, proper: tuple[int, ...], lo: int, hi: int
-) -> tuple[int, list[tuple[int, ...]], int]:
-    best = -1
-    ties: list[tuple[int, ...]] = []
-    for mask in range(lo, hi):
-        subset = tuple(d for i, d in enumerate(proper) if mask >> i & 1)
-        value = energy_general(n, subset)
+        subset = tuple(x for i, x in enumerate(items) if mask >> i & 1)
+        value = score(subset)
         if value > best:
             best = value
             ties = [subset]
@@ -91,16 +76,18 @@ def _general_chunk(
     return best, ties, hi - lo
 
 
-def _run_chunks(chunk_fn, common_args: tuple, total: int, jobs: int):
-    chunks = _mask_range_chunks(total, jobs)
+def _run_chunks(score: Callable[[tuple], int], items: tuple, jobs: int):
+    chunks = _mask_range_chunks(2 ** len(items), jobs)
     if len(chunks) == 1:
-        results = [chunk_fn(*common_args, *chunks[0])]
+        results = [_best_subsets(score, items, *chunks[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(chunk_fn, *common_args, lo, hi) for lo, hi in chunks]
+            futures = [pool.submit(_best_subsets, score, items, lo, hi) for lo, hi in chunks]
             results = [f.result() for f in futures]
     best = max(r[0] for r in results)
-    maximizers = sorted({tuple(m) for r in results if r[0] == best for m in r[1]})
+    maximizers = sorted({m for r in results if r[0] == best for m in r[1]})
     examined = sum(r[2] for r in results)
     return best, maximizers, examined
 
@@ -116,11 +103,11 @@ def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> Maxim
             f"s = {order.s} exceeds the enumeration cap {PRIME_POWER_EXPONENT_CAP}"
         )
     best, maximizers, examined = _run_chunks(
-        _prime_power_chunk, (order.p, order.s), 2**order.s, jobs
+        partial(energy_prime_power, order), tuple(range(order.s)), jobs
     )
-    return MaximizerReport(
-        n=order.n, emax=best, maximizers=tuple(maximizers), examined=examined
-    )
+    # x -> p^x is increasing, so sorted exponent tuples give sorted divisor sets.
+    divisor_sets = tuple(divisor_set_of(a, order) for a in maximizers)
+    return MaximizerReport(n=order.n, emax=best, maximizers=divisor_sets, examined=examined)
 
 
 def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
@@ -137,9 +124,7 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
             f"n = {n} has {len(proper)} proper divisors, "
             f"2^{len(proper)} - 1 subsets exceed the cap {GENERAL_SUBSET_CAP}"
         )
-    best, maximizers, examined = _run_chunks(
-        _general_chunk, (n, proper), 2 ** len(proper), jobs
-    )
+    best, maximizers, examined = _run_chunks(partial(energy_general, n), proper, jobs)
     return MaximizerReport(n=n, emax=best, maximizers=tuple(maximizers), examined=examined)
 
 

@@ -1,10 +1,21 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and subprocess environment for the test suite."""
+
+import os
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from icgraph import PrimePowerOrder, divisors
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict:
+    """The current environment with the source tree first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @st.composite

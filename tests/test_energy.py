@@ -28,6 +28,7 @@ from icgraph import (
     spectrum_gcd_graph,
     totient,
 )
+from icgraph import energy
 from icgraph.energy import SPECTRAL_N_CAP
 
 from helpers import general_instances, order_and_tuple, small_order_and_tuple
@@ -40,6 +41,12 @@ def test_h_value_known():
     assert h_value(5, (0, 1)) == Fraction(1, 5)
     assert h_value(5, (0, 1, 3)) == Fraction(31, 125)
     assert h_value(2, (0, 2)) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("a", [(), (0, "x"), ("x",), (1, 0), (-1, 2), (0, True)])
+def test_h_value_rejects_bad_tuples(a):
+    with pytest.raises(ValueError):
+        h_value(3, a)
 
 
 @given(order_and_tuple(max_s=20))
@@ -197,9 +204,19 @@ def test_energy_general_rejects_bad_sets():
         energy_general(12, ())
     with pytest.raises(ValueError):
         energy_general(12, (12,))
+    # Entries are type-checked before the set is sorted or hashed.
+    with pytest.raises(ValueError):
+        energy_general(12, [1, "a"])
+    with pytest.raises(ValueError):
+        energy_general(12, [[1]])
 
 
-def test_energy_general_enforces_size_cap():
+def test_energy_general_enforces_size_cap(monkeypatch):
+    # The cap must be checked before the O(n) gcd-class scan starts.
+    def no_scan(n):
+        raise AssertionError(f"gcd classes of n = {n} scanned before the cap check")
+
+    monkeypatch.setattr(energy, "_gcd_class_counts", no_scan)
     with pytest.raises(ResourceLimitError):
         energy_general(SPECTRAL_N_CAP + 1, (1,))
     with pytest.raises(ResourceLimitError):

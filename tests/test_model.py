@@ -127,6 +127,8 @@ def test_check_divisor_set_normalizes():
         (12, [0]),
         (12, [-2]),
         (12, [24]),
+        (12, [1, "a"]),
+        (12, [[1]]),
     ],
 )
 def test_check_divisor_set_rejects_invalid(n, ds):

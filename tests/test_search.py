@@ -2,6 +2,8 @@
 
 import itertools
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -24,7 +26,7 @@ from icgraph import (
 )
 from icgraph.search import ENUMERATION_N_CAP, PRIME_POWER_EXPONENT_CAP, _mask_range_chunks
 
-from helpers import SMALL_PRIMES, exponent_tuples
+from helpers import SMALL_PRIMES, exponent_tuples, src_env
 
 
 # ---------------------------------------------------------------- brute force
@@ -71,6 +73,18 @@ def test_general_brute_force_matches_direct_scan():
         assert report.examined == 2 ** len(proper) - 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_general_brute_force_matches_the_prime_power_route(p):
+    # Spectral energies (general n) against the pair-sum formula (p^s),
+    # both enumerated by the same subset search.
+    s = 1
+    while p**s <= ENUMERATION_N_CAP:
+        general = brute_force_emax_general(p**s)
+        prime_power = brute_force_emax_prime_power(PrimePowerOrder(p, s))
+        assert general == prime_power
+        s += 1
+
+
 def test_general_brute_force_prime_order():
     # A prime has the single proper divisor 1, so one subset exists.
     report = brute_force_emax_general(13)
@@ -85,6 +99,20 @@ def test_parallel_chunks_merge_to_the_same_report():
         order
     )
     assert brute_force_emax_general(60, jobs=2) == brute_force_emax_general(60)
+
+
+def test_pool_modules_are_not_imported_with_the_package():
+    # Only a run with more than one worker imports the process pool.
+    code = (
+        "import icgraph, sys; "
+        "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules]; "
+        "sys.exit(str(loaded) if loaded else 0)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=src_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_worker_chunks_never_outnumber_the_cpus():
