@@ -42,6 +42,19 @@ def check_int(value: int, what: str, minimum: Optional[int] = None) -> None:
         raise ValueError(f"{what} must be an int{bound}, got {value!r}")
 
 
+def _shown(n: int) -> str:
+    """n >= 0 in decimal for a message; past 50 digits its first 20 and its length.
+
+    Never calls str on a long n, so the int-to-str digit limit cannot trip.
+    """
+    if n < 10**50:
+        return str(n)
+    digits = n.bit_length() * 30102 // 100000  # at most the digit count
+    while 10**digits <= n:
+        digits += 1
+    return f"{n // 10 ** (digits - 20)}\u2026 ({digits} digits)"
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality for n < MILLER_RABIN_BOUND.
 
@@ -72,7 +85,7 @@ def is_prime(n: int) -> bool:
             return False
     if not exact:
         raise ResourceLimitError(
-            f"cannot decide primality of {n} >= {MILLER_RABIN_BOUND} exactly"
+            f"cannot decide primality of {_shown(n)} >= {MILLER_RABIN_BOUND} exactly"
         )
     return True
 
@@ -109,7 +122,7 @@ def _prime_power(m: int) -> tuple[int, int]:
                 return q, k
             break
     raise ResourceLimitError(
-        f"{m} has no prime factor <= {TRIAL_DIVISION_BOUND} and is not a prime power"
+        f"{_shown(m)} has no prime factor <= {TRIAL_DIVISION_BOUND} and is not a prime power"
     )
 
 

@@ -2,13 +2,17 @@
 
 Brute-force enumeration over all nonempty divisor sets is the
 independent verifier for the closed-form maximal energies: it never
-touches the closed forms, only the energy evaluators. One bitmask
+touches the closed forms, only the energy formulas. One bitmask
 enumerator scores every subset of a tuple of items by either route:
 exponents 0..s-1 by the prime-power pair-sum formula, proper divisors
-of n by the spectral route. The masks are optionally split across
-worker processes (the pool is imported only when more than one runs);
-the merge is deterministic (ties collected, then sorted), so reports
-are identical for any worker count.
+of n by the spectral route (Ramanujan-sum class eigenvalues). It splits
+each mask into a high and a low half and tabulates the states of all
+half subsets once, so a subset costs O(1) big-int operations on the
+prime-power route and O(tau(n)) on the spectral one, with O(2^(len/2))
+memory; the items are validated once, not per subset. The masks are
+optionally split across worker processes (the pool is imported only
+when more than one runs); the merge is deterministic (ties collected,
+then sorted), so reports are identical for any worker count.
 
 Also here: the (u, v)-derivative of an admissible tuple and the exact
 reduction identity relating h(a) to h of its derivative across a run
@@ -21,13 +25,16 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import add, mul
 from typing import Callable, Sequence
 
-from .energy import emax_closed, energy_general, energy_prime_power, h_value
+from .energy import _eigenvalue_classes, _gcd_class_counts, emax_closed, h_value
 from .model import (
     PrimePowerOrder,
     ResourceLimitError,
     admissible_context,
+    check_divisor_set,
+    check_exponent_tuple,
     divisor_set_of,
 )
 from .numtheory import check_int, divisors, is_prime
@@ -61,30 +68,91 @@ def _mask_range_chunks(total: int, jobs: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(jobs) if bounds[i] < bounds[i + 1]]
 
 
-def _best_subsets(score: Callable[[tuple], int], items: tuple, lo: int, hi: int):
-    """Best score over the subsets of `items` with masks in [lo, hi), and its ties."""
-    best = -1
-    ties: list[tuple] = []
-    for mask in range(lo, hi):
-        subset = tuple(x for i, x in enumerate(items) if mask >> i & 1)
-        value = score(subset)
-        if value > best:
-            best = value
-            ties = [subset]
-        elif value == best:
-            ties.append(subset)
-    return best, ties, hi - lo
+def _prime_power_halves(order: PrimePowerOrder, items: tuple, k: int):
+    """Half tables for the pair-sum energy 2(p-1)(r p^(s-1) - (p-1) T).
+
+    A state (E, P, Q) holds a subset's energy, sum p^x and sum p^(s-1-x).
+    Adding an exponent y above all those of a subset adds p^(s-1-y) P to
+    its T. Every low exponent is below every high one, so the pairs
+    across the halves add Q_H P_L to T: E = E_H + E_L - 2(p-1)^2 Q_H P_L.
+    """
+    p, s = order.p, order.s
+    check_exponent_tuple(items, s)
+    c = 2 * (p - 1)
+    gain = c * p ** (s - 1)
+
+    def table(exponents):
+        states = [(0, 0, 0)]
+        for y in exponents:
+            up, down = p**y, p ** (s - 1 - y)
+            cross = c * (p - 1) * down
+            states += [(e + gain - cross * ps, ps + up, qs + down) for e, ps, qs in states]
+        return states
+
+    def row(high, lows):
+        e, _, qs = high
+        qs *= c * (p - 1)
+        return [e + f - qs * ps for f, ps, _ in lows]
+
+    return table(items[:k]), table(items[k:]), row
 
 
-def _run_chunks(score: Callable[[tuple], int], items: tuple, jobs: int):
+def _general_halves(n: int, items: tuple, k: int):
+    """Half tables for the spectral energy sum_g count_g |lambda_g|.
+
+    lambda_g(S) = sum_{d in S} c_{n/d}(g) is linear in S and count_g >= 0,
+    so a state is the vector of count_g lambda_g over the gcd classes of n
+    and a subset's energy is sum_g |high_g + low_g|.
+    """
+    check_divisor_set(n, items)
+    counts = _gcd_class_counts(n)
+    units = [tuple(map(mul, counts, _eigenvalue_classes(n, d))) for d in items]
+
+    def table(vectors):
+        states = [(0,) * len(counts)]
+        for u in vectors:
+            states += [tuple(map(add, v, u)) for v in states]
+        return states
+
+    def row(high, lows):
+        return [sum(map(abs, map(add, high, v))) for v in lows]
+
+    return table(units[:k]), table(units[k:]), row
+
+
+def _best_subsets(halves: Callable, items: tuple, lo: int, hi: int):
+    """Best energy over the subsets of `items` with masks in [lo, hi), and its ties.
+
+    A mask is h << k | l with k = len(items) // 2. halves(items, k)
+    validates the items once and returns the states of the 2^k low and
+    2^(len-k) high subsets and row(high[h], lows), which scores one high
+    subset joined with each of a run of low ones. Needs 1 <= lo < hi.
+    """
+    k = len(items) // 2
+    low, high, row = halves(items, k)
+    best, ties = -1, []
+    for h in range(lo >> k, ((hi - 1) >> k) + 1):
+        base = h << k
+        l0, l1 = max(lo - base, 0), min(hi - base, 1 << k)
+        values = row(high[h], low[l0:l1])
+        top = max(values)
+        if top > best:
+            best, ties = top, []
+        if top == best:
+            ties += [base + l0 + i for i, v in enumerate(values) if v == top]
+    subsets = [tuple(x for i, x in enumerate(items) if mask >> i & 1) for mask in ties]
+    return best, subsets, hi - lo
+
+
+def _run_chunks(halves: Callable, items: tuple, jobs: int):
     chunks = _mask_range_chunks(2 ** len(items), jobs)
     if len(chunks) == 1:
-        results = [_best_subsets(score, items, *chunks[0])]
+        results = [_best_subsets(halves, items, *chunks[0])]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_best_subsets, score, items, lo, hi) for lo, hi in chunks]
+            futures = [pool.submit(_best_subsets, halves, items, lo, hi) for lo, hi in chunks]
             results = [f.result() for f in futures]
     best = max(r[0] for r in results)
     maximizers = sorted({m for r in results if r[0] == best for m in r[1]})
@@ -96,14 +164,14 @@ def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> Maxim
     """Maximal energy over all 2^s - 1 nonempty divisor sets of p^s, by enumeration.
 
     Returns the exact maximum and every attaining set. Enforced cap
-    s <= 20; runtime grows as 2^s * s^2.
+    s <= 20; runtime grows as 2^s and memory as 2^(s/2).
     """
     if order.s > PRIME_POWER_EXPONENT_CAP:
         raise ResourceLimitError(
             f"s = {order.s} exceeds the enumeration cap {PRIME_POWER_EXPONENT_CAP}"
         )
     best, maximizers, examined = _run_chunks(
-        partial(energy_prime_power, order), tuple(range(order.s)), jobs
+        partial(_prime_power_halves, order), tuple(range(order.s)), jobs
     )
     # x -> p^x is increasing, so sorted exponent tuples give sorted divisor sets.
     divisor_sets = tuple(divisor_set_of(a, order) for a in maximizers)
@@ -124,7 +192,7 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
             f"n = {n} has {len(proper)} proper divisors, "
             f"2^{len(proper)} - 1 subsets exceed the cap {GENERAL_SUBSET_CAP}"
         )
-    best, maximizers, examined = _run_chunks(partial(energy_general, n), proper, jobs)
+    best, maximizers, examined = _run_chunks(partial(_general_halves, n), proper, jobs)
     return MaximizerReport(n=n, emax=best, maximizers=tuple(maximizers), examined=examined)
 
 

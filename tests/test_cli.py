@@ -269,6 +269,19 @@ def test_large_numbers_end_in_bounded_time(argv, expected):
     assert proc.returncode == expected, proc.stderr
 
 
+def test_resource_errors_abbreviate_long_numbers(capsys):
+    # (2^4423 - 1)(2^4253 - 1) has 2612 digits and no factor below the
+    # trial bound; the message names its first 20 digits and its length.
+    n = (2**4423 - 1) * (2**4253 - 1)
+    code, out, err = run_cli(capsys, ["energy", "--n", str(n), "--divisors", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"resource limit: {str(n)[:20]}… (2612 digits) has no prime factor "
+        "<= 1000000 and is not a prime power\n"
+    )
+
+
 def test_closed_form_mismatch_exits_3(capsys, monkeypatch):
     value, tuples = cli.emax_closed(cli.PrimePowerOrder(2, 3))
     monkeypatch.setattr(cli, "emax_closed", lambda order: (value + 2, tuples))

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from icgraph import divisors, factorize, is_prime, mobius, ramanujan_sum, totient
-from icgraph.numtheory import primes_up_to
+from icgraph import (
+    ResourceLimitError,
+    divisors,
+    factorize,
+    is_prime,
+    mobius,
+    ramanujan_sum,
+    totient,
+)
+from icgraph.numtheory import _shown, primes_up_to
 
 
 def test_is_prime_agrees_with_sieve_below_1000():
@@ -32,6 +40,19 @@ def test_is_prime_edge_cases():
 def test_is_prime_rejects_non_ints(bad):
     with pytest.raises(ValueError):
         is_prime(bad)
+
+
+def test_long_numbers_are_shown_by_their_first_digits():
+    assert _shown(10**50 - 1) == "9" * 50
+    assert _shown(10**50) == "1" + "0" * 19 + "… (51 digits)"
+    # past the int-to-str digit limit, where str() itself would raise
+    assert _shown(7 * 10**9999 + 1) == "7" + "0" * 19 + "… (10000 digits)"
+    # F_13 = 2^8192 + 1 passes base 2, so is_prime cannot decide it
+    with pytest.raises(ResourceLimitError) as info:
+        is_prime(2**8192 + 1)
+    assert str(info.value).startswith(
+        "cannot decide primality of 10907481356194159294… (2467 digits) >= "
+    )
 
 
 def test_factorize_known_values():

@@ -4,11 +4,14 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import icgraph
 from icgraph import (
     MaximizerReport,
     PrimePowerOrder,
@@ -19,12 +22,23 @@ from icgraph import (
     divisor_set_of,
     divisors,
     emax_closed,
+    energy,
     energy_general,
+    energy_prime_power,
     h_value,
+    model,
+    search,
     tableau_reduction_check,
     verify_theorem,
 )
-from icgraph.search import ENUMERATION_N_CAP, PRIME_POWER_EXPONENT_CAP, _mask_range_chunks
+from icgraph.search import (
+    ENUMERATION_N_CAP,
+    PRIME_POWER_EXPONENT_CAP,
+    _best_subsets,
+    _general_halves,
+    _mask_range_chunks,
+    _prime_power_halves,
+)
 
 from helpers import SMALL_PRIMES, exponent_tuples, src_env
 
@@ -139,6 +153,139 @@ def test_general_brute_force_enforces_caps():
 def test_report_requires_a_maximizer():
     with pytest.raises(ValueError):
         MaximizerReport(n=4, emax=6, maximizers=(), examined=3)
+
+
+# ---------------------------------------------------------------- split-half enumerator
+
+def _oracle(score, items, lo, hi):
+    """Plain max over itertools.combinations, restricted to the masks in [lo, hi)."""
+    best, ties, examined = -1, [], 0
+    for size in range(1, len(items) + 1):
+        for combo in itertools.combinations(items, size):
+            if lo <= sum(1 << items.index(x) for x in combo) < hi:
+                examined += 1
+                value = score(combo)
+                if value > best:
+                    best, ties = value, [combo]
+                elif value == best:
+                    ties.append(combo)
+    return best, sorted(ties), examined
+
+
+def _chunk(halves, items, lo, hi):
+    best, ties, examined = _best_subsets(halves, items, lo, hi)
+    return best, sorted(ties), examined
+
+
+def _edge_ranges(length):
+    """Whole range, single masks, and ranges that start or end inside a half."""
+    k, top = length // 2, 2**length
+    ranges = [(1, top), (1, 2), (top - 1, top), (top // 2, top // 2 + 1)]
+    if length >= 4:
+        ranges += [((1 << k) - 1, (1 << k) + 1), (3, top - 5), ((1 << k) + 3, 3 << k | 2)]
+    return ranges
+
+
+@st.composite
+def mask_ranges(draw, length):
+    lo = draw(st.integers(1, 2**length - 1))
+    return lo, draw(st.integers(lo + 1, 2**length))
+
+
+@st.composite
+def prime_power_chunks(draw):
+    order = PrimePowerOrder(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 10)))
+    return order, draw(mask_ranges(order.s))
+
+
+@st.composite
+def general_chunks(draw):
+    n = draw(st.integers(2, 400).filter(lambda m: len(divisors(m)) <= 12))
+    return n, draw(mask_ranges(len(divisors(n)) - 1))
+
+
+@given(prime_power_chunks())
+def test_prime_power_chunks_match_a_direct_scan(case):
+    order, (lo, hi) = case
+    items = tuple(range(order.s))
+    assert _chunk(partial(_prime_power_halves, order), items, lo, hi) == _oracle(
+        partial(energy_prime_power, order), items, lo, hi
+    )
+
+
+@given(general_chunks())
+def test_general_chunks_match_a_direct_scan(case):
+    n, (lo, hi) = case
+    items = tuple(divisors(n)[:-1])
+    assert _chunk(partial(_general_halves, n), items, lo, hi) == _oracle(
+        partial(energy_general, n), items, lo, hi
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("s", [1, 2, 7, 8, 9, 10])
+def test_prime_power_chunks_match_at_half_edges(p, s):
+    order = PrimePowerOrder(p, s)
+    items = tuple(range(s))
+    for lo, hi in _edge_ranges(s):
+        assert _chunk(partial(_prime_power_halves, order), items, lo, hi) == _oracle(
+            partial(energy_prime_power, order), items, lo, hi
+        ), (lo, hi)
+
+
+# 12, 36, 48, 60 and 64 have 5, 8, 9, 11 and 6 proper divisors
+@pytest.mark.parametrize("n", [12, 36, 48, 60, 64])
+def test_general_chunks_match_at_half_edges(n):
+    items = tuple(divisors(n)[:-1])
+    for lo, hi in _edge_ranges(len(items)):
+        assert _chunk(partial(_general_halves, n), items, lo, hi) == _oracle(
+            partial(energy_general, n), items, lo, hi
+        ), (lo, hi)
+
+
+def test_items_are_validated_once_per_chunk_not_per_subset(monkeypatch):
+    calls = []
+    for name in ("check_exponent_tuple", "check_divisor_set"):
+        original = getattr(model, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in (icgraph, model, energy, search):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    # 3^10 and 2^10 = 1024 both have 2^10 - 1 subsets, searched as one chunk.
+    report = brute_force_emax_prime_power(PrimePowerOrder(3, 10))
+    assert report.examined == 2**10 - 1
+    # the chunk's items once, then each maximizer once as it becomes a divisor set
+    assert calls == ["check_exponent_tuple"] * (1 + len(report.maximizers))
+    calls.clear()
+    report = brute_force_emax_general(1024)
+    assert report.examined == 2**10 - 1
+    assert calls == ["check_divisor_set"]
+
+
+def test_prime_power_brute_force_at_the_exponent_cap():
+    order = PrimePowerOrder(2, 20)
+    report = brute_force_emax_prime_power(order)
+    value, tuples = emax_closed(order)
+    assert report.emax == value
+    assert sorted(report.maximizers) == sorted(divisor_set_of(a, order) for a in tuples)
+    assert report.examined == 2**20 - 1
+    assert brute_force_emax_prime_power(order, jobs=2) == report
+
+
+def test_enumeration_memory_grows_with_half_the_exponent():
+    # The half tables hold 2 * 2^9 states at s = 18; a table over all
+    # 2^18 subsets would take tens of megabytes.
+    tracemalloc.start()
+    try:
+        brute_force_emax_prime_power(PrimePowerOrder(3, 18))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------- theorem verification
