@@ -10,9 +10,13 @@ each mask into a high and a low half and tabulates the states of all
 half subsets once, so a subset costs O(1) big-int operations on the
 prime-power route and O(tau(n)) on the spectral one, with O(2^(len/2))
 memory; the items are validated once, not per subset. The masks are
-optionally split across worker processes (the pool is imported only
-when more than one runs); the merge is deterministic (ties collected,
-then sorted), so reports are identical for any worker count.
+split across worker processes only when the work (subsets times the
+per-subset state width: 1 on the prime-power route, tau(n) on the
+spectral one) reaches POOL_MIN_WORK, since below it starting a pool
+costs more than it saves; `jobs` is an upper bound. The pool is imported
+only when more than one worker runs, and the merge is deterministic
+(ties collected, then sorted), so reports are identical for any worker
+count.
 
 Also here: the (u, v)-derivative of an admissible tuple and the exact
 reduction identity relating h(a) to h of its derivative across a run
@@ -42,6 +46,10 @@ from .numtheory import check_int, divisors, is_prime
 PRIME_POWER_EXPONENT_CAP = 20  # 2^s subsets enumerated
 ENUMERATION_N_CAP = 10**4
 GENERAL_SUBSET_CAP = 2**20
+# Work (subsets x per-subset state width) from which a second worker pays
+# for its pool start, about 8 ms on 2 cores: at 2^17 units (17-22 ms in
+# one process) one process and a pool of two take about the same time.
+POOL_MIN_WORK = 2**17
 
 
 @dataclass(frozen=True)
@@ -58,11 +66,15 @@ class MaximizerReport:
             raise ValueError("a maximizer report needs at least one maximizer")
 
 
-def _mask_range_chunks(total: int, jobs: int) -> list[tuple[int, int]]:
+def _mask_range_chunks(total: int, jobs: int, width: int) -> list[tuple[int, int]]:
     """Split mask range [1, total) into at most `jobs` contiguous chunks.
 
-    Never more chunks than CPUs: each chunk becomes one worker process.
+    Each chunk becomes one worker process, so never more chunks than
+    CPUs, and only one while the work, (total - 1) subsets of `width`
+    units each, is below POOL_MIN_WORK.
     """
+    if (total - 1) * width < POOL_MIN_WORK:
+        jobs = 1
     jobs = max(1, min(jobs, total - 1, os.cpu_count() or 1))
     bounds = [1 + (total - 1) * i // jobs for i in range(jobs + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(jobs) if bounds[i] < bounds[i + 1]]
@@ -144,8 +156,8 @@ def _best_subsets(halves: Callable, items: tuple, lo: int, hi: int):
     return best, subsets, hi - lo
 
 
-def _run_chunks(halves: Callable, items: tuple, jobs: int):
-    chunks = _mask_range_chunks(2 ** len(items), jobs)
+def _run_chunks(halves: Callable, items: tuple, jobs: int, width: int):
+    chunks = _mask_range_chunks(2 ** len(items), jobs, width)
     if len(chunks) == 1:
         results = [_best_subsets(halves, items, *chunks[0])]
     else:
@@ -164,14 +176,17 @@ def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> Maxim
     """Maximal energy over all 2^s - 1 nonempty divisor sets of p^s, by enumeration.
 
     Returns the exact maximum and every attaining set. Enforced cap
-    s <= 20; runtime grows as 2^s and memory as 2^(s/2).
+    s <= 20; runtime grows as 2^s and memory as 2^(s/2). Up to `jobs`
+    (an int >= 1) worker processes run only when 2^s - 1 >=
+    POOL_MIN_WORK, that is from s = 18.
     """
+    check_int(jobs, "jobs", 1)
     if order.s > PRIME_POWER_EXPONENT_CAP:
         raise ResourceLimitError(
             f"s = {order.s} exceeds the enumeration cap {PRIME_POWER_EXPONENT_CAP}"
         )
     best, maximizers, examined = _run_chunks(
-        partial(_prime_power_halves, order), tuple(range(order.s)), jobs
+        partial(_prime_power_halves, order), tuple(range(order.s)), jobs, 1
     )
     # x -> p^x is increasing, so sorted exponent tuples give sorted divisor sets.
     divisor_sets = tuple(divisor_set_of(a, order) for a in maximizers)
@@ -181,9 +196,13 @@ def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> Maxim
 def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
     """Maximal energy over all nonempty sets of proper divisors of n, by enumeration.
 
-    Caps: n <= 10^4 and at most 2^20 subsets.
+    Caps: n <= 10^4 and at most 2^20 subsets. A subset costs one sum
+    over the tau(n) gcd classes, so up to `jobs` (an int >= 1) worker
+    processes run only when (2^(tau(n)-1) - 1) tau(n) >= POOL_MIN_WORK,
+    that is from tau(n) = 15.
     """
     check_int(n, "n", 2)
+    check_int(jobs, "jobs", 1)
     if n > ENUMERATION_N_CAP:
         raise ResourceLimitError(f"n = {n} exceeds the enumeration cap {ENUMERATION_N_CAP}")
     proper = tuple(d for d in divisors(n) if d != n)
@@ -192,7 +211,9 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
             f"n = {n} has {len(proper)} proper divisors, "
             f"2^{len(proper)} - 1 subsets exceed the cap {GENERAL_SUBSET_CAP}"
         )
-    best, maximizers, examined = _run_chunks(partial(_general_halves, n), proper, jobs)
+    best, maximizers, examined = _run_chunks(
+        partial(_general_halves, n), proper, jobs, len(proper) + 1
+    )
     return MaximizerReport(n=n, emax=best, maximizers=tuple(maximizers), examined=examined)
 
 
@@ -201,7 +222,9 @@ def verify_theorem(order: PrimePowerOrder, jobs: int = 1) -> tuple[bool, list[st
 
     True iff the enumerated maximum equals emax_closed AND the enumerated
     maximizer sets are exactly the divisor sets of the closed form's
-    tuples. Discrepancies are returned as messages, never raised.
+    tuples. Discrepancies are returned as messages, never raised. `jobs`
+    goes to brute_force_emax_prime_power, which starts a pool only from
+    s = 18.
     """
     value, tuples = emax_closed(order)
     expected = sorted(divisor_set_of(t, order) for t in tuples)

@@ -223,6 +223,9 @@ def test_outputs_beyond_the_int_str_digit_limit_print_exactly(capsys):
         ["trace", "--p", "2", "--s", "9", "--delta", "2,2"],
         ["nonsense"],
         ["emax", "--p", "2", "--s", "3", "--format", "yaml"],
+        ["emax", "--p", "2", "--s", "4", "--brute", "--jobs", "0"],
+        ["emax", "--p", "2", "--s", "4", "--brute", "--jobs", "-3"],
+        ["verify", "--pmax", "3", "--smax", "2", "--jobs", "0"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -319,10 +322,11 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- process level
 
+# s = 18 is the smallest exponent whose enumeration starts a pool at --jobs 2.
 SUBPROCESS_ARGS = [
     "emax",
     "--p", "2",
-    "--s", "12",
+    "--s", "18",
     "--brute",
     "--jobs", "2",
     "--format", "json",
@@ -343,7 +347,7 @@ def test_stdout_is_byte_deterministic_across_runs_and_jobs():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     # The worker count must not leak into the report.
-    serial_args = ["emax", "--p", "2", "--s", "12", "--brute", "--format", "json"]
+    serial_args = ["emax", "--p", "2", "--s", "18", "--brute", "--format", "json"]
     serial = subprocess.run(
         [sys.executable, "-m", "icgraph", *serial_args],
         capture_output=True,

@@ -1,5 +1,6 @@
 """Brute-force enumeration, closed-form verification and the reduction identity."""
 
+import concurrent.futures
 import itertools
 import os
 import subprocess
@@ -33,6 +34,7 @@ from icgraph import (
 )
 from icgraph.search import (
     ENUMERATION_N_CAP,
+    POOL_MIN_WORK,
     PRIME_POWER_EXPONENT_CAP,
     _best_subsets,
     _general_halves,
@@ -107,34 +109,106 @@ def test_general_brute_force_prime_order():
     assert report.examined == 1
 
 
-def test_parallel_chunks_merge_to_the_same_report():
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Record the worker count of every process pool started; the pools still run.
+
+    Two CPUs are assumed, so the CPU clamp never decides alone.
+    """
+    starts = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class CountingPool(real):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    return starts
+
+
+def test_parallel_chunks_merge_to_the_same_report(pool_starts, monkeypatch):
+    # Both runs are below the pool floor; lower it so they still use a pool.
+    monkeypatch.setattr(search, "POOL_MIN_WORK", 1)
     order = PrimePowerOrder(2, 8)
     assert brute_force_emax_prime_power(order, jobs=3) == brute_force_emax_prime_power(
         order
     )
     assert brute_force_emax_general(60, jobs=2) == brute_force_emax_general(60)
+    assert pool_starts == [2, 2]
 
 
-def test_pool_modules_are_not_imported_with_the_package():
-    # Only a run with more than one worker imports the process pool.
+def test_pools_start_only_from_the_work_floor(pool_starts):
+    # 3^16 and 2^8: 2^s - 1 subsets of width 1; 60 and 72 (12 divisors):
+    # 2^11 - 1 subsets of width 12. All stay in one process.
+    for order in (PrimePowerOrder(3, 16), PrimePowerOrder(2, 8)):
+        report = brute_force_emax_prime_power(order, jobs=2)
+        assert report == brute_force_emax_prime_power(order)
+    for n in (60, 72):
+        assert brute_force_emax_general(n, jobs=2) == brute_force_emax_general(n)
+    assert pool_starts == []
+    # 120 (16 divisors): (2^15 - 1) * 16 units of work, above the floor.
+    assert brute_force_emax_general(120, jobs=2) == brute_force_emax_general(120)
+    assert pool_starts == [2]
+    # The smallest s with 2^s - 1 >= POOL_MIN_WORK.
+    order = PrimePowerOrder(2, POOL_MIN_WORK.bit_length())
+    assert brute_force_emax_prime_power(order, jobs=2) == brute_force_emax_prime_power(
+        order
+    )
+    assert pool_starts == [2, 2]
+
+
+def _pool_modules_loaded_after(statement):
     code = (
-        "import icgraph, sys; "
+        f"import icgraph, sys; {statement}; "
         "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process') "
         "if m in sys.modules]; "
         "sys.exit(str(loaded) if loaded else 0)"
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, env=src_env(), timeout=60
+    )
+
+
+def test_pool_modules_are_not_imported_with_the_package():
+    # Only a run with more than one worker imports the process pool.
+    proc = _pool_modules_loaded_after("pass")
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_pool_modules_are_not_imported_below_the_work_floor():
+    proc = _pool_modules_loaded_after(
+        "icgraph.verify_theorem(icgraph.PrimePowerOrder(3, 12), jobs=2)"
     )
     assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_worker_chunks_never_outnumber_the_cpus():
     # Pure arithmetic: no process is started. Each chunk is one worker.
-    chunks = _mask_range_chunks(2**20, 10**6)
+    chunks = _mask_range_chunks(2**20, 10**6, 1)
     assert len(chunks) <= (os.cpu_count() or 1)
     assert chunks[0][0] == 1 and chunks[-1][1] == 2**20
     assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+    # Work (total - 1) * width below POOL_MIN_WORK gives one chunk; from
+    # the floor on, as many as jobs and CPUs allow.
+    workers = min(2, os.cpu_count() or 1)
+    for total, width in ((POOL_MIN_WORK, 1), (2**13, 14), (2**11, 12)):
+        assert _mask_range_chunks(total, 2, width) == [(1, total)]
+    for total, width in ((POOL_MIN_WORK + 1, 1), (2**15, 16), (2**14, 15)):
+        assert len(_mask_range_chunks(total, 2, width)) == workers
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, True, "2", None])
+def test_jobs_must_be_a_positive_int(jobs):
+    order = PrimePowerOrder(2, 4)
+    for run in (
+        partial(brute_force_emax_prime_power, order),
+        partial(brute_force_emax_general, 16),
+        partial(verify_theorem, order),
+    ):
+        with pytest.raises(ValueError, match="jobs must be an int >= 1"):
+            run(jobs=jobs)
 
 
 def test_prime_power_brute_force_enforces_exponent_cap():
