@@ -13,6 +13,7 @@ a maximizer is reached.
 """
 
 from .energy import (
+    canonical_maximizer,
     classify_energeticity,
     classify_energy,
     emax_alternative,
@@ -58,7 +59,6 @@ from .transform import (
     TransformStep,
     applicable,
     apply_rule,
-    canonical_maximizer,
     normalize,
 )
 

@@ -6,14 +6,16 @@ Two independent routes to the energy (sum of absolute eigenvalues):
       E(D(a), p^s) = 2(p-1) p^(s-1) (r - (p-1) h(a)),
   with h(a) the double sum of p^-(a_i - a_k) over index pairs k < i,
   evaluated all-integer as 2(p-1)(r p^(s-1) - (p-1) T) where
-  T = sum p^(s-1-(a_i-a_k));
+  T = sum p^(s-1-(a_i-a_k)) = sum_i P_i p^(s-1-a_i) with the prefix
+  sums P_i = sum_{k<i} p^(a_k): r big-int multiply-adds;
 * the spectral route for arbitrary n via Ramanujan sums,
       lambda_k = sum_{d in D} c_{n/d}(k).
 
 Closed forms for the minimal and maximal energy over divisor sets of
-p^s live here too, along with the equidistant h sums they rest on, the
-hyper/hypoenergetic classification against 2(n-1), and the
-Koolen-Moulton bound check.
+p^s live here too, with the maximizer shapes (canonical_maximizer, the
+one list of them; the transform module re-exports it), the equidistant
+h sums they rest on, the hyper/hypoenergetic classification against
+2(n-1), and the Koolen-Moulton bound check.
 
 All arithmetic is exact: ints and fractions.Fraction throughout.
 """
@@ -40,20 +42,17 @@ SPECTRAL_N_CAP = 10**6
 
 
 def _pair_sum(p: int, a: tuple[int, ...], top: int) -> int:
-    """T = sum over pairs k < i of p^(top - (a_i - a_k)), for top >= a_r - a_1.
+    """T = sum over pairs k < i of p^(top - (a_i - a_k)), for top >= a_r.
 
-    Counts the pairs at each gap g (small ints), then evaluates
-    sum_g N(g) p^(top - g) by Horner's rule in p.
+    T = sum_i P_i p^(top - a_i) with the prefix sums P_i = sum_{k<i} p^(a_k),
+    evaluated by Horner's rule over the gaps a_i - a_{i-1}: r big-int
+    multiply-adds.
     """
-    span = a[-1] - a[0]
-    counts = [0] * (span + 1)
-    for i, y in enumerate(a):
-        for x in a[:i]:
-            counts[y - x] += 1
-    t = 0
-    for count in counts[1:]:
-        t = t * p + count
-    return t * p ** (top - span)
+    t = prefix = 0
+    for previous, x in zip(a, a[1:]):
+        prefix += p**previous
+        t = t * p ** (x - previous) + prefix
+    return t * p ** (top - a[-1])
 
 
 def h_value(p: int, a: Sequence[int]) -> Fraction:
@@ -64,8 +63,7 @@ def h_value(p: int, a: Sequence[int]) -> Fraction:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     a = check_exponent_tuple(a, math.inf)  # h puts no bound on the top exponent
-    span = a[-1] - a[0]
-    return Fraction(_pair_sum(p, a, span), p**span)
+    return Fraction(_pair_sum(p, a, a[-1]), p ** a[-1])
 
 
 def energy_prime_power(order: PrimePowerOrder, a: Sequence[int]) -> int:
@@ -147,43 +145,48 @@ def emin_closed(order: PrimePowerOrder) -> tuple[int, list[tuple[int, ...]]]:
     return value, [(p**t,) for t in range(s)]
 
 
+def canonical_maximizer(order: PrimePowerOrder) -> list[tuple[int, ...]]:
+    """The maximal-energy delta vectors for p^s, s >= 2.
+
+    Odd s: (2, ..., 2), plus (1, 2, ..., 2, 1) when p = 2.
+    Even s: (2, ..., 2, 1) and (1, 2, ..., 2); these coincide at s = 2.
+    s = 1 has no admissible tuple at all (sole divisor set {1}): empty list.
+    """
+    p, s = order.p, order.s
+    if s == 1:
+        return []
+    if s % 2:
+        out = [(2,) * ((s - 1) // 2)]
+        if p == 2:
+            out.append((1,) + (2,) * ((s - 3) // 2) + (1,))
+        return out
+    half = (s - 2) // 2
+    out = [(2,) * half + (1,), (1,) + (2,) * half]
+    return out[:1] if out[0] == out[1] else out
+
+
 def emax_closed(order: PrimePowerOrder) -> tuple[int, list[tuple[int, ...]]]:
     """Maximal energy over divisor sets of p^s and all maximizing exponent tuples.
 
     Odd s:  ((s+1)(p^2-1)p^s + 2(p^(s+1)-1)) / (p+1)^2,
-            attained by (0,2,...,s-3,s-1), plus (0,1,3,...,s-2,s-1) when p = 2.
-    Even s: (s(p^2-1)p^s + 2(2p^(s+1)-p^(s-1)+p^2-p-1)) / (p+1)^2,
-            attained by (0,2,...,s-2,s-1) and (0,1,3,...,s-3,s-1).
-    Both divisions are exact (checked). s = 1 gives 2(p-1) with the sole
-    divisor set {1}, returned as the singleton tuple (0).
+    Even s: (s(p^2-1)p^s + 2(2p^(s+1)-p^(s-1)+p^2-p-1)) / (p+1)^2.
+    Both divisions are exact (checked). The maximizers are the tuples of
+    the canonical_maximizer delta vectors, in that order. s = 1 gives
+    2(p-1) with the sole divisor set {1}, returned as the singleton tuple (0).
     """
     p, s = order.p, order.s
-    if s == 1:
-        return 2 * (p - 1), [(0,)]
     if s % 2:
         numerator = (s + 1) * (p * p - 1) * p**s + 2 * (p ** (s + 1) - 1)
-        tuples = [delta_inverse((2,) * ((s - 1) // 2))]
-        if p == 2:
-            tuples.append(delta_inverse((1,) + (2,) * ((s - 3) // 2) + (1,)))
     else:
         numerator = s * (p * p - 1) * p**s + 2 * (
             2 * p ** (s + 1) - p ** (s - 1) + p * p - p - 1
         )
-        half = (s - 2) // 2
-        tuples = [
-            delta_inverse((2,) * half + (1,)),
-            delta_inverse((1,) + (2,) * half),
-        ]
     value, remainder = divmod(numerator, (p + 1) ** 2)
     if remainder:
         raise RuntimeError(
             f"maximal-energy closed form did not divide exactly for p={p}, s={s}"
         )
-    unique: list[tuple[int, ...]] = []
-    for t in tuples:
-        if t not in unique:
-            unique.append(t)
-    return value, unique
+    return value, [delta_inverse(d) for d in canonical_maximizer(order)] or [(0,)]
 
 
 def emax_alternative(order: PrimePowerOrder) -> int:
@@ -235,6 +238,8 @@ def classify_energy(n: int, energy: int) -> str:
 
     Returns 'hyperenergetic' (above), 'hypoenergetic' (below) or 'neither'.
     """
+    check_int(n, "n", 1)
+    check_int(energy, "energy", 0)
     threshold = 2 * (n - 1)
     if energy > threshold:
         return "hyperenergetic"

@@ -10,13 +10,16 @@ Six rules, written on d = (d_1, ..., d_{r-1}) with positions 1-based:
   V    single 1 at 2 <= u <= r-2, rest 2s  ->  (2, ..., 2, 1)   (length =)
 
 applicable states these preconditions and lists every instance that
-meets them; apply_rule rewrites an instance only when applicable lists
-it. Each application strictly increases the gcd-graph energy for every
-prime p, with one exception: rule III on (1, 2, ..., 2, 1) at p = 2
+meets them; an all-2 gap runs between consecutive entries that are not
+2, so one scan of those positions finds every II/III/IV instance.
+apply_rule rewrites an instance only when applicable lists it. Each
+application strictly increases the gcd-graph energy for every prime
+p, with one exception: rule III on (1, 2, ..., 2, 1) at p = 2
 preserves the energy exactly (recorded as strict=False). normalize
 drives the first applicable rule (label order above, then leftmost)
 to a fixed point; the fixed points are exactly the maximal-energy
-delta vectors from canonical_maximizer.
+delta vectors from canonical_maximizer (stated in the energy module
+next to emax_closed, and re-exported here).
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .energy import energy_prime_power
+from .energy import canonical_maximizer, energy_prime_power
 from .model import PrimePowerOrder, check_delta, delta_inverse
-from .numtheory import check_int
+from .numtheory import check_int, is_prime
 
 
 class TransformLabel(str, enum.Enum):
@@ -42,6 +45,15 @@ class TransformLabel(str, enum.Enum):
         return self.value
 
 
+# The rule for each pair of ends (d_u, d_v) of an all-2 gap.
+_GAP_RULES = {
+    (1, 3): TransformLabel.II,
+    (3, 1): TransformLabel.II,
+    (1, 1): TransformLabel.III,
+    (3, 3): TransformLabel.IV,
+}
+
+
 def applicable(d: Sequence[int]) -> list[tuple[TransformLabel, int, Optional[int]]]:
     """All rule instances whose preconditions hold on d, deterministically ordered.
 
@@ -51,38 +63,19 @@ def applicable(d: Sequence[int]) -> list[tuple[TransformLabel, int, Optional[int
     """
     d = check_delta(d)
     r1 = len(d)
-    out: list[tuple[TransformLabel, int, Optional[int]]] = []
-
-    for u in range(1, r1 + 1):
-        if d[u - 1] >= 4:
-            out.append((TransformLabel.Ia, u, None))
-
+    positions = range(1, r1 + 1)
+    out: list[tuple[TransformLabel, int, Optional[int]]] = [
+        (TransformLabel.Ia, u, None) for u in positions if d[u - 1] >= 4
+    ]
     if max(d) == 3 and min(d) >= 2:
-        for u in range(1, r1 + 1):
-            if d[u - 1] == 3:
-                out.append((TransformLabel.Ib, u, None))
-
-    def gap_pairs(value_u: int, value_v: int) -> list[tuple[int, int]]:
-        pairs = []
-        for u in range(1, r1 + 1):
-            if d[u - 1] != value_u:
-                continue
-            for v in range(u + 1, r1 + 1):
-                if d[v - 1] == value_v:
-                    pairs.append((u, v))
-                if d[v - 1] != 2:
-                    break
-        return pairs
-
-    out.extend((TransformLabel.II, u, v) for u, v in sorted(gap_pairs(1, 3) + gap_pairs(3, 1)))
-    out.extend((TransformLabel.III, u, v) for u, v in gap_pairs(1, 1))
-    out.extend((TransformLabel.IV, u, v) for u, v in gap_pairs(3, 3))
-
-    if r1 >= 3:
-        ones = [j + 1 for j in range(r1) if d[j] == 1]
-        if len(ones) == 1 and 2 <= ones[0] <= r1 - 1 and all(x in (1, 2) for x in d):
-            out.append((TransformLabel.V, ones[0], None))
-
+        out += [(TransformLabel.Ib, u, None) for u in positions if d[u - 1] == 3]
+    # Between consecutive entries that are not 2 lies an all-2 gap, maybe empty.
+    marks = [u for u in positions if d[u - 1] != 2]
+    gaps = [(_GAP_RULES.get((d[u - 1], d[v - 1])), u, v) for u, v in zip(marks, marks[1:])]
+    for label in (TransformLabel.II, TransformLabel.III, TransformLabel.IV):
+        out += [gap for gap in gaps if gap[0] is label]
+    if len(marks) == 1 and d[marks[0] - 1] == 1 and 1 < marks[0] < r1:
+        out.append((TransformLabel.V, marks[0], None))
     return out
 
 
@@ -96,10 +89,13 @@ def apply_rule(
     """Rewrite d by one rule instance; returns (result, strict).
 
     (label, u, v) must be listed by applicable(d), so the preconditions
-    are stated there only. strict is False only for rule III on the
-    whole vector at p = 2, where the energy is preserved exactly.
+    are stated there only, and p must be prime. strict is False only for
+    rule III on the whole vector at p = 2, where the energy is preserved
+    exactly.
     """
     d = check_delta(d)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if not isinstance(label, TransformLabel):
         raise ValueError(f"label must be a TransformLabel, got {label!r}")
     check_int(u, "u")
@@ -168,26 +164,6 @@ class Trace:
     @property
     def initial(self) -> tuple[int, ...]:
         return self.steps[0].before if self.steps else self.terminal
-
-
-def canonical_maximizer(order: PrimePowerOrder) -> list[tuple[int, ...]]:
-    """The maximal-energy delta vectors for p^s, s >= 2.
-
-    Odd s: (2, ..., 2), plus (1, 2, ..., 2, 1) when p = 2.
-    Even s: (2, ..., 2, 1) and (1, 2, ..., 2); these coincide at s = 2.
-    s = 1 has no admissible tuple at all (sole divisor set {1}): empty list.
-    """
-    p, s = order.p, order.s
-    if s == 1:
-        return []
-    if s % 2:
-        out = [(2,) * ((s - 1) // 2)]
-        if p == 2:
-            out.append((1,) + (2,) * ((s - 3) // 2) + (1,))
-        return out
-    half = (s - 2) // 2
-    out = [(2,) * half + (1,), (1,) + (2,) * half]
-    return out[:1] if out[0] == out[1] else out
 
 
 def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:

@@ -294,6 +294,12 @@ def test_classify_energy_threshold_exact():
     assert classify_energy(10, 20) == "hyperenergetic"
 
 
+@pytest.mark.parametrize("n, energy", [(2.5, 3), (True, 0), (0, 5), (10, -4), ("a", 1)])
+def test_classify_energy_rejects_bad_input(n, energy):
+    with pytest.raises(ValueError):
+        classify_energy(n, energy)
+
+
 def test_koolen_moulton_exact_boundary():
     # n = 4: bound is (4/2)(sqrt(4)+1) = 6, attained by the complete graph.
     assert koolen_moulton_check(4, 6)

@@ -149,7 +149,75 @@ def test_apply_rule_refuses_instances_applicable_does_not_list(label, u, v):
         apply_rule(d, label, u, v, P)
 
 
+@pytest.mark.parametrize("p", [2.0, 4, "x", None, True, -7])
+def test_apply_rule_refuses_a_p_that_is_not_a_prime_int(p):
+    d = (1, 2, 2, 1)
+    assert (III, 1, 4) in applicable(d)
+    with pytest.raises(ValueError):
+        apply_rule(d, III, 1, 4, p)
+
+
 # ---------------------------------------------------------------- applicability
+
+def _reference_applicable(d):
+    """Every (label, u, v) tried against the rule table, each precondition as written."""
+    d = tuple(d)
+    pos = range(1, len(d) + 1)
+
+    def at(u):
+        return d[u - 1]
+
+    def all_two_gap(u, v):
+        return all(at(w) == 2 for w in range(u + 1, v))
+
+    pairs = [(u, v) for u in pos for v in pos if u < v and all_two_gap(u, v)]
+    out = [(Ia, u, None) for u in pos if at(u) >= 4]
+    out += [(Ib, u, None) for u in pos if at(u) == 3 == max(d) and min(d) >= 2]
+    for label, ends in ((II, {(1, 3), (3, 1)}), (III, {(1, 1)}), (IV, {(3, 3)})):
+        out += [(label, u, v) for u, v in pairs if (at(u), at(v)) in ends]
+    out += [
+        (V, u, None)
+        for u in pos
+        if at(u) == 1 and 2 <= u <= len(d) - 1 and all(at(w) == 2 for w in pos if w != u)
+    ]
+    return out
+
+
+def _compositions(total):
+    """All 2^(total-1) delta vectors summing to total."""
+    for cuts in range(2 ** (total - 1)):
+        d, run = [], 1
+        for bit in range(total - 1):
+            if cuts >> bit & 1:
+                d.append(run)
+                run = 0
+            run += 1
+        yield tuple(d + [run])
+
+
+def test_applicable_matches_the_rule_table_on_every_small_composition():
+    for total in range(1, 14):  # 8191 vectors
+        for d in _compositions(total):
+            assert applicable(d) == _reference_applicable(d), d
+
+
+@st.composite
+def _long_compositions(draw, max_total=40):
+    """Delta vectors with sum <= max_total, rich in runs of 2s."""
+    entries = draw(st.lists(st.sampled_from([1, 2, 2, 2, 3, 3, 4, 5]), min_size=1))
+    d, total = [], 0
+    for x in entries:
+        if total + x > max_total:
+            break
+        d.append(x)
+        total += x
+    return tuple(d)
+
+
+@given(_long_compositions())
+def test_applicable_matches_the_rule_table_up_to_total_40(d):
+    assert applicable(d) == _reference_applicable(d)
+
 
 def test_applicable_order_is_deterministic():
     d = (4, 3, 1, 2, 1)
