@@ -6,8 +6,10 @@ Two independent routes to the energy (sum of absolute eigenvalues):
       E(D(a), p^s) = 2(p-1) p^(s-1) (r - (p-1) h(a)),
   with h(a) the double sum of p^-(a_i - a_k) over index pairs k < i,
   evaluated all-integer as 2(p-1)(r p^(s-1) - (p-1) T) where
-  T = sum p^(s-1-(a_i-a_k)) = sum_i P_i p^(s-1-a_i) with the prefix
-  sums P_i = sum_{k<i} p^(a_k): r big-int multiply-adds;
+  T = sum p^(s-1-(a_i-a_k)) = sum_i P_i p^(s-1-a_i+a_1) with the prefix
+  sums P_i = sum_{k<i} p^(a_k-a_1): r big-int multiply-adds over the
+  gaps a_i - a_{i-1}, so a delta vector (the gaps of an admissible
+  tuple) is scored as it stands;
 * the spectral route for arbitrary n via Ramanujan sums,
       lambda_k = sum_{d in D} c_{n/d}(k).
 
@@ -34,25 +36,43 @@ from .model import (
     check_exponent_tuple,
     delta_inverse,
 )
-from .numtheory import check_int, divisors, is_prime, ramanujan_sum
+from .numtheory import check_int, check_prime, divisors, ramanujan_sum
 
 # energy_general / spectrum_gcd_graph refuse larger n; the per-order
 # gcd histogram pass is O(n log n) and meant for desk-scale checking.
 SPECTRAL_N_CAP = 10**6
 
 
-def _pair_sum(p: int, a: tuple[int, ...], top: int) -> int:
-    """T = sum over pairs k < i of p^(top - (a_i - a_k)), for top >= a_r.
+def _gaps(a: tuple[int, ...]) -> list[int]:
+    return [x - previous for previous, x in zip(a, a[1:])]
 
-    T = sum_i P_i p^(top - a_i) with the prefix sums P_i = sum_{k<i} p^(a_k),
-    evaluated by Horner's rule over the gaps a_i - a_{i-1}: r big-int
-    multiply-adds.
+
+def _pair_sum(p: int, gaps: Sequence[int], tail: int) -> int:
+    """T = sum over pairs k < i of p^(a_r - a_1 + tail - (a_i - a_k)).
+
+    The tuple a enters only through its gaps a_i - a_{i-1}; tail >= 0.
+    T = sum_i P_i p^(a_r - a_i + tail) with the prefix sums
+    P_i = sum_{k<i} p^(a_k - a_1), evaluated by Horner's rule over the
+    gaps with a running p^(a_i - a_1): r big-int multiply-adds. Unchecked.
     """
-    t = prefix = 0
-    for previous, x in zip(a, a[1:]):
-        prefix += p**previous
-        t = t * p ** (x - previous) + prefix
-    return t * p ** (top - a[-1])
+    t = 0
+    power = prefix = 1
+    for gap in gaps:
+        step = p**gap
+        t = t * step + prefix
+        power *= step
+        prefix += power
+    return t * p**tail
+
+
+def _gap_energy(p: int, s: int, gaps: Sequence[int], tail: int) -> int:
+    """E = 2(p-1)(r p^(s-1) - (p-1) T), T the pair sum at tail = s-1-(a_r - a_1).
+
+    r = len(gaps) + 1. Unchecked: energy_prime_power validates its tuple,
+    and the transform module passes a delta vector with tail 0.
+    """
+    t = _pair_sum(p, gaps, tail)
+    return 2 * (p - 1) * ((len(gaps) + 1) * p ** (s - 1) - (p - 1) * t)
 
 
 def h_value(p: int, a: Sequence[int]) -> Fraction:
@@ -60,10 +80,9 @@ def h_value(p: int, a: Sequence[int]) -> Fraction:
 
     a must be strictly increasing with nonnegative entries; r = 1 gives 0.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     a = check_exponent_tuple(a, math.inf)  # h puts no bound on the top exponent
-    return Fraction(_pair_sum(p, a, a[-1]), p ** a[-1])
+    return Fraction(_pair_sum(p, _gaps(a), 0), p ** (a[-1] - a[0]))
 
 
 def energy_prime_power(order: PrimePowerOrder, a: Sequence[int]) -> int:
@@ -75,8 +94,7 @@ def energy_prime_power(order: PrimePowerOrder, a: Sequence[int]) -> int:
     """
     p, s = order.p, order.s
     a = check_exponent_tuple(a, s)
-    t = _pair_sum(p, a, s - 1)
-    return 2 * (p - 1) * (len(a) * p ** (s - 1) - (p - 1) * t)
+    return _gap_energy(p, s, _gaps(a), s - 1 - (a[-1] - a[0]))
 
 
 @lru_cache(maxsize=4096)
@@ -222,8 +240,7 @@ def h_equidistant(p: int, s: int) -> Fraction:
         + (p^s - 1) / ((p^2-1) p^(s-1)).
     Must (and does, see tests) agree with h_value on those tuples.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     check_int(s, "s", 2)
     sq = (p * p - 1) ** 2
     if s % 2:

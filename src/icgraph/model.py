@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 # ResourceLimitError is defined in numtheory and re-exported here.
-from .numtheory import ResourceLimitError, check_int, is_prime
+from .numtheory import ResourceLimitError, check_int, check_prime
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,7 @@ class PrimePowerOrder:
     s: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        check_prime(self.p)
         check_int(self.s, "s", 1)
 
     @property

@@ -1,10 +1,10 @@
 """Arithmetic functions on positive integers.
 
 Primality testing, factorization, Moebius mu, Euler phi, divisor lists,
-prime sieves and Ramanujan sums, plus the one int validator (check_int)
-and the resource error the whole package raises. Everything works on
-Python ints, which are arbitrary precision, and everything here is a
-pure function.
+prime sieves and Ramanujan sums, plus the int and prime validators
+(check_int, check_prime) and the resource error the whole package
+raises. Everything works on Python ints, which are arbitrary precision,
+and everything here is a pure function.
 
 Every call ends in bounded time. is_prime is deterministic Miller-Rabin
 on the primes 2..41 as bases, exact below MILLER_RABIN_BOUND; a larger
@@ -40,6 +40,13 @@ def check_int(value: int, what: str, minimum: Optional[int] = None) -> None:
     ):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{what} must be an int{bound}, got {value!r}")
+
+
+def check_prime(p: int) -> None:
+    """Require p to be an int (checked under the name p) and prime."""
+    check_int(p, "p")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def _shown(n: int) -> str:

@@ -41,7 +41,7 @@ from .model import (
     check_exponent_tuple,
     divisor_set_of,
 )
-from .numtheory import check_int, divisors, is_prime
+from .numtheory import check_int, check_prime, divisors
 
 PRIME_POWER_EXPONENT_CAP = 20  # 2^s subsets enumerated
 ENUMERATION_N_CAP = 10**4
@@ -272,8 +272,7 @@ def tableau_reduction_check(p: int, a: Sequence[int], u: int, v: int) -> bool:
 
     U = sum_{k<=u} p^a_k, V = sum_{i>v} p^-a_i. Returns their equality.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     _, r = admissible_context(a)
     a = tuple(a)
     da = derivative(a, u, v)  # also validates r and (u, v)

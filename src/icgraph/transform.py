@@ -28,9 +28,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .energy import canonical_maximizer, energy_prime_power
-from .model import PrimePowerOrder, check_delta, delta_inverse
-from .numtheory import check_int, is_prime
+from .energy import _gap_energy, canonical_maximizer
+from .model import PrimePowerOrder, check_delta
+from .numtheory import check_int, check_prime
 
 
 class TransformLabel(str, enum.Enum):
@@ -61,7 +61,11 @@ def applicable(d: Sequence[int]) -> list[tuple[TransformLabel, int, Optional[int
     ascending. The prime p plays no part: rule III applies in its
     energy-preserving case too.
     """
-    d = check_delta(d)
+    return _applicable(check_delta(d))
+
+
+def _applicable(d: tuple[int, ...]) -> list[tuple[TransformLabel, int, Optional[int]]]:
+    """applicable on a delta vector already checked."""
     r1 = len(d)
     positions = range(1, r1 + 1)
     out: list[tuple[TransformLabel, int, Optional[int]]] = [
@@ -94,15 +98,21 @@ def apply_rule(
     exactly.
     """
     d = check_delta(d)
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     if not isinstance(label, TransformLabel):
         raise ValueError(f"label must be a TransformLabel, got {label!r}")
     check_int(u, "u")
     if v is not None:
         check_int(v, "v")
-    if (label, u, v) not in applicable(d):
+    if (label, u, v) not in _applicable(d):
         raise ValueError(f"rule {label} does not apply at u={u}, v={v} to {d}")
+    return _apply(d, label, u, v, p)
+
+
+def _apply(
+    d: tuple[int, ...], label: TransformLabel, u: int, v: Optional[int], p: int
+) -> tuple[tuple[int, ...], bool]:
+    """apply_rule on an instance that _applicable(d) lists, unchecked."""
     if label is TransformLabel.V:
         return (2,) * (len(d) - 1) + (1,), True
     if v is None:
@@ -173,23 +183,29 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     until none applies. Energies never decrease along the trace and
     strictly increase except at energy-preserving III steps. The
     terminal vector is always one of canonical_maximizer(order).
+
+    d0, its sum and p are checked once here. Every later vector is built
+    by a rule from a checked one, so the loop runs the unchecked scan,
+    rewrite and energy; each TransformStep and the Trace still check
+    their own invariants.
     """
     d = check_delta(d0)
     if sum(d) != order.s - 1:
         raise ValueError(f"delta vector {d} sums to {sum(d)}, needs s-1 = {order.s - 1}")
-    p = order.p
+    p, s = order.p, order.s
+    check_prime(p)
     steps: list[TransformStep] = []
-    energy = energy_prime_power(order, delta_inverse(d))
-    limit = 4 * order.s + 16
+    energy = _gap_energy(p, s, d, 0)
+    limit = 4 * s + 16
     while True:
-        instances = applicable(d)
+        instances = _applicable(d)
         if not instances:
             break
         if len(steps) >= limit:
             raise RuntimeError(f"rewrite did not terminate within {limit} steps from {d0}")
         label, u, v = instances[0]
-        after, strict = apply_rule(d, label, u, v, p)
-        energy_after = energy_prime_power(order, delta_inverse(after))
+        after, strict = _apply(d, label, u, v, p)
+        energy_after = _gap_energy(p, s, after, 0)
         steps.append(TransformStep(label, u, v, d, after, energy, energy_after, strict))
         d, energy = after, energy_after
     if d not in canonical_maximizer(order):

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies and subprocess environment for the test suite."""
+"""Shared hypothesis strategies, reference energy and subprocess environment for the test suite."""
 
 import os
 from pathlib import Path
@@ -16,6 +16,15 @@ def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def direct_energy(p, s, a):
+    """E = 2(p-1)(r p^(s-1) - (p-1) T) with T as a plain double sum over pairs.
+
+    Shares no code with the package's pair-sum kernel.
+    """
+    t = sum(p ** (s - 1 - (a[i] - a[k])) for k in range(len(a)) for i in range(k + 1, len(a)))
+    return 2 * (p - 1) * (len(a) * p ** (s - 1) - (p - 1) * t)
 
 
 @st.composite

@@ -31,7 +31,7 @@ from icgraph import (
 from icgraph import energy
 from icgraph.energy import SPECTRAL_N_CAP
 
-from helpers import general_instances, order_and_tuple, small_order_and_tuple
+from helpers import direct_energy, general_instances, order_and_tuple, small_order_and_tuple
 
 
 # ---------------------------------------------------------------- h
@@ -79,12 +79,6 @@ def test_energy_prime_power_rejects_wrong_shape():
         energy_prime_power(PrimePowerOrder(2, 3), ())
 
 
-def _direct_energy(p, s, a):
-    """E = 2(p-1)(r p^(s-1) - (p-1) T) with T as a plain double sum over pairs."""
-    t = sum(p ** (s - 1 - (a[i] - a[k])) for k in range(len(a)) for i in range(k + 1, len(a)))
-    return 2 * (p - 1) * (len(a) * p ** (s - 1) - (p - 1) * t)
-
-
 @st.composite
 def _any_exponent_tuple(draw):
     """(p, s, a) with a any nonempty increasing tuple in [0, s), admissible or not."""
@@ -97,7 +91,7 @@ def _any_exponent_tuple(draw):
 @given(_any_exponent_tuple())
 def test_pair_sum_kernel_matches_direct_double_sums(psa):
     p, s, a = psa
-    assert energy_prime_power(PrimePowerOrder(p, s), a) == _direct_energy(p, s, a)
+    assert energy_prime_power(PrimePowerOrder(p, s), a) == direct_energy(p, s, a)
     pairs = [(k, i) for k in range(len(a)) for i in range(k + 1, len(a))]
     assert h_value(p, a) == sum((Fraction(1, p ** (a[i] - a[k])) for k, i in pairs), Fraction(0))
 
@@ -108,7 +102,7 @@ def test_pair_sum_kernel_matches_direct_double_sums_at_large_s(p, s):
     a = tuple(sorted(rng.sample(range(s), s // 2)))
     admissible = tuple(sorted({0, s - 1, *a[1:-1]}))
     for exps in (a, admissible):
-        assert energy_prime_power(PrimePowerOrder(p, s), exps) == _direct_energy(p, s, exps)
+        assert energy_prime_power(PrimePowerOrder(p, s), exps) == direct_energy(p, s, exps)
     span = admissible[-1] - admissible[0]
     t = sum(
         p ** (span - (y - x)) for k, x in enumerate(admissible) for y in admissible[k + 1 :]

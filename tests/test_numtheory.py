@@ -8,15 +8,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icgraph import (
+    PrimePowerOrder,
     ResourceLimitError,
+    TransformLabel,
+    apply_rule,
     divisors,
     factorize,
+    h_equidistant,
+    h_value,
     is_prime,
     mobius,
     ramanujan_sum,
+    tableau_reduction_check,
     totient,
 )
-from icgraph.numtheory import _shown, primes_up_to
+from icgraph.numtheory import _shown, check_prime, primes_up_to
 
 
 def test_is_prime_agrees_with_sieve_below_1000():
@@ -40,6 +46,35 @@ def test_is_prime_edge_cases():
 def test_is_prime_rejects_non_ints(bad):
     with pytest.raises(ValueError):
         is_prime(bad)
+
+
+PRIME_ENTRY_POINTS = {
+    "check_prime": check_prime,
+    "PrimePowerOrder": lambda p: PrimePowerOrder(p, 3),
+    "apply_rule": lambda p: apply_rule((1, 2, 2, 1), TransformLabel.III, 1, 4, p),
+    "h_value": lambda p: h_value(p, (0, 1, 3)),
+    "h_equidistant": lambda p: h_equidistant(p, 5),
+    "tableau_reduction_check": lambda p: tableau_reduction_check(p, (0, 1, 3, 5, 6), 2, 4),
+}
+
+
+@pytest.mark.parametrize("entry", PRIME_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (2.0, "p must be an int, got 2.0"),
+        ("x", "p must be an int, got 'x'"),
+        (True, "p must be an int, got True"),
+        (None, "p must be an int, got None"),
+        (4, "p must be prime, got 4"),
+        (-7, "p must be prime, got -7"),
+    ],
+)
+def test_prime_parameters_are_named_p_in_errors(entry, p, message):
+    PRIME_ENTRY_POINTS[entry](3)  # the other arguments are valid
+    with pytest.raises(ValueError) as info:
+        PRIME_ENTRY_POINTS[entry](p)
+    assert str(info.value) == message
 
 
 def test_long_numbers_are_shown_by_their_first_digits():

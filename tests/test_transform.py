@@ -1,5 +1,10 @@
 """Rewrite rules on delta vectors: preconditions, energy effects, termination."""
 
+import functools
+import random
+import sys
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,9 +22,10 @@ from icgraph import (
     energy_prime_power,
     normalize,
 )
+from icgraph.numtheory import check_int
 from icgraph.transform import Trace
 
-from helpers import SMALL_PRIMES, exponent_tuples
+from helpers import SMALL_PRIMES, direct_energy, exponent_tuples
 
 
 def _energy(p, d):
@@ -399,6 +405,12 @@ def test_normalize_rejects_wrong_sum():
         normalize((2, 2), PrimePowerOrder(3, 7))
 
 
+def test_normalize_rejects_an_order_whose_p_is_not_prime():
+    # A PrimePowerOrder cannot hold one; an object with the same fields can.
+    with pytest.raises(ValueError, match="p must be prime"):
+        normalize((3,), SimpleNamespace(p=4, s=4))
+
+
 def test_normalize_replays_known_values():
     order = PrimePowerOrder(2, 30)
     trace = normalize((5, 1, 3, 3, 2, 1, 1, 6, 1, 1, 3, 2), order)
@@ -406,3 +418,88 @@ def test_normalize_replays_known_values():
     order = PrimePowerOrder(3, 30)
     trace = normalize((5, 1, 3, 3, 2, 1, 1, 6, 1, 1, 3, 2), order)
     assert trace.steps[-1].energy_after == 3234206533320112
+
+
+def _reference_normalize(d0, order):
+    """The rewrite loop written with the public, fully checked functions only."""
+    d, steps = tuple(d0), []
+    while instances := applicable(d):
+        label, u, v = instances[0]
+        after, strict = apply_rule(d, label, u, v, order.p)
+        e0, e1 = _energy(order.p, d), _energy(order.p, after)
+        steps.append(TransformStep(label, u, v, d, after, e0, e1, strict))
+        d = after
+    return Trace(order=order, steps=tuple(steps), terminal=d)
+
+
+def _random_composition(seed, total):
+    rng = random.Random(seed)
+    d = []
+    while total:
+        d.append(rng.randint(1, min(total, 7)))
+        total -= d[-1]
+    return tuple(d)
+
+
+# Long runs: s >= 260 from one entry and from a random composition.
+LONG_CASES = [(2, (259,)), (3, _random_composition(1, 299)), (7, _random_composition(2, 263))]
+
+
+@given(_long_compositions(), st.sampled_from(SMALL_PRIMES))
+def test_normalize_matches_a_loop_over_the_public_rules(d, p):
+    order = PrimePowerOrder(p, sum(d) + 1)
+    assert normalize(d, order) == _reference_normalize(d, order)
+
+
+@pytest.mark.parametrize("p, d0", LONG_CASES)
+def test_normalize_matches_a_loop_over_the_public_rules_at_large_s(p, d0):
+    order = PrimePowerOrder(p, sum(d0) + 1)
+    assert normalize(d0, order) == _reference_normalize(d0, order)
+
+
+def _assert_step_energies_are_direct(d0, p):
+    s = sum(d0) + 1
+    trace = normalize(d0, PrimePowerOrder(p, s))
+    reference = functools.cache(lambda d: direct_energy(p, s, delta_inverse(d)))
+    for step in trace.steps:
+        assert step.energy_before == reference(step.before)
+        assert step.energy_after == reference(step.after)
+    return trace
+
+
+@given(_long_compositions(), st.sampled_from(SMALL_PRIMES))
+def test_normalize_step_energies_match_the_direct_double_sum(d, p):
+    _assert_step_energies_are_direct(d, p)
+
+
+@pytest.mark.parametrize("p, d0", LONG_CASES)
+def test_normalize_step_energies_match_the_direct_double_sum_at_large_s(p, d0):
+    assert _assert_step_energies_are_direct(d0, p).steps
+
+
+@pytest.fixture
+def check_int_calls(monkeypatch):
+    """Record every check_int call, under each icgraph module name bound to it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check_int(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "icgraph" or name.startswith("icgraph."):
+            for attr, value in list(vars(module).items()):
+                if value is check_int:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_normalize_validates_its_input_once(check_int_calls):
+    short, long = PrimePowerOrder(2, 4), PrimePowerOrder(2, 1000)
+    check_int_calls.clear()
+    assert len(normalize((3,), short).steps) == 1
+    once = len(check_int_calls)
+    assert once > 0  # the counter sees the entry checks
+    check_int_calls.clear()
+    assert len(normalize((999,), long).steps) == 499
+    assert len(check_int_calls) == once
