@@ -59,6 +59,7 @@ EXIT_RESOURCE = 2
 EXIT_DISCREPANCY = 3
 
 PMAX_CAP = 10**4  # verify sieves p <= pmax before sweeping
+OUTPUT_BITS_CAP = 10**7  # numbers printed x bits of p^s, checked before p is tested
 
 
 class UsageError(Exception):
@@ -93,6 +94,24 @@ def _flat(value) -> str:
     return str(value)
 
 
+def _check_output_size(p: int, s: int, entries: int) -> None:
+    """Refuse a command that would print more than OUTPUT_BITS_CAP bits of numbers.
+
+    It prints `entries` numbers of up to bit_length(p**s) bits each;
+    s * bit_length(p - 1) + 1 bounds that from above (exactly at p = 2)
+    without computing p**s or testing p. An out-of-range p or s is left
+    to PrimePowerOrder's checks.
+    """
+    if p < 2 or s < 1:
+        return
+    bits = s * (p - 1).bit_length() + 1
+    if entries * bits > OUTPUT_BITS_CAP:
+        raise ResourceLimitError(
+            f"{entries} numbers of up to {bits} bits exceed the output cap of "
+            f"{OUTPUT_BITS_CAP} bits"
+        )
+
+
 def _int_list(value: str) -> tuple[int, ...]:
     try:
         return parse_ints(value)
@@ -110,6 +129,7 @@ def cmd_energy(args):
     if by_pp:
         if args.p is None or args.s is None or args.exponents is None:
             raise UsageError("--p, --s and --exponents belong together")
+        _check_output_size(args.p, args.s, len(args.exponents))
         order = PrimePowerOrder(args.p, args.s)
         exponents = args.exponents
         n = order.n
@@ -160,6 +180,7 @@ def cmd_energy(args):
 
 
 def cmd_emax(args):
+    _check_output_size(args.p, args.s, args.s)
     order = PrimePowerOrder(args.p, args.s)
     value, tuples = emax_closed(order)
     sets = [divisor_set_of(t, order) for t in tuples]
@@ -192,6 +213,7 @@ def cmd_emax(args):
 
 
 def cmd_emin(args):
+    _check_output_size(args.p, args.s, args.s)
     order = PrimePowerOrder(args.p, args.s)
     value, sets = emin_closed(order)
     results = {
@@ -208,6 +230,7 @@ def cmd_emin(args):
 
 
 def cmd_trace(args):
+    _check_output_size(args.p, args.s, args.s)
     order = PrimePowerOrder(args.p, args.s)
     trace = normalize(args.delta, order)
     if trace.steps:

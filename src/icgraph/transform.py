@@ -9,24 +9,27 @@ Six rules, written on d = (d_1, ..., d_{r-1}) with positions 1-based:
   IV   d_u = d_v = 3, all-2 gap ->  block of 2s spanning u..v+1 (length +1)
   V    single 1 at 2 <= u <= r-2, rest 2s  ->  (2, ..., 2, 1)   (length =)
 
-applicable states these preconditions and lists every instance that
-meets them; an all-2 gap runs between consecutive entries that are not
-2, so one scan of those positions finds every II/III/IV instance.
-apply_rule rewrites an instance only when applicable lists it. Each
+_instances states these preconditions once and yields every instance
+that meets them, lazily and in a fixed order; applicable lists them
+all. An all-2 gap runs between consecutive entries that are not 2, so
+one pattern search over those entries finds every II/III/IV instance.
+apply_rule rewrites an instance only when _instances yields it. Each
 application strictly increases the gcd-graph energy for every prime
 p, with one exception: rule III on (1, 2, ..., 2, 1) at p = 2
 preserves the energy exactly (recorded as strict=False). normalize
-drives the first applicable rule (label order above, then leftmost)
-to a fixed point; the fixed points are exactly the maximal-energy
-delta vectors from canonical_maximizer (stated in the energy module
-next to emax_closed, and re-exported here).
+takes the first instance at each step (label order above, then
+leftmost) to a fixed point; the fixed points are exactly the
+maximal-energy delta vectors from canonical_maximizer (stated in the
+energy module next to emax_closed, and re-exported here).
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import compress, count, repeat
+from typing import Iterator, Optional, Sequence
 
 from .energy import _gap_energy, canonical_maximizer
 from .model import PrimePowerOrder, check_delta
@@ -45,15 +48,6 @@ class TransformLabel(str, enum.Enum):
         return self.value
 
 
-# The rule for each pair of ends (d_u, d_v) of an all-2 gap.
-_GAP_RULES = {
-    (1, 3): TransformLabel.II,
-    (3, 1): TransformLabel.II,
-    (1, 1): TransformLabel.III,
-    (3, 3): TransformLabel.IV,
-}
-
-
 def applicable(d: Sequence[int]) -> list[tuple[TransformLabel, int, Optional[int]]]:
     """All rule instances whose preconditions hold on d, deterministically ordered.
 
@@ -61,26 +55,50 @@ def applicable(d: Sequence[int]) -> list[tuple[TransformLabel, int, Optional[int
     ascending. The prime p plays no part: rule III applies in its
     energy-preserving case too.
     """
-    return _applicable(check_delta(d))
+    return list(_instances(check_delta(d)))
 
 
-def _applicable(d: tuple[int, ...]) -> list[tuple[TransformLabel, int, Optional[int]]]:
-    """applicable on a delta vector already checked."""
-    r1 = len(d)
-    positions = range(1, r1 + 1)
-    out: list[tuple[TransformLabel, int, Optional[int]]] = [
-        (TransformLabel.Ia, u, None) for u in positions if d[u - 1] >= 4
-    ]
-    if max(d) == 3 and min(d) >= 2:
-        out += [(TransformLabel.Ib, u, None) for u in positions if d[u - 1] == 3]
-    # Between consecutive entries that are not 2 lies an all-2 gap, maybe empty.
-    marks = [u for u in positions if d[u - 1] != 2]
-    gaps = [(_GAP_RULES.get((d[u - 1], d[v - 1])), u, v) for u, v in zip(marks, marks[1:])]
-    for label in (TransformLabel.II, TransformLabel.III, TransformLabel.IV):
-        out += [gap for gap in gaps if gap[0] is label]
-    if len(marks) == 1 and d[marks[0] - 1] == 1 and 1 < marks[0] < r1:
-        out.append((TransformLabel.V, marks[0], None))
-    return out
+# One overlapping pattern per gap rule, over the packed ends (see _instances).
+_GAP_PATTERNS = (
+    (TransformLabel.II, re.compile(b"(?=\x01\x03|\x03\x01)")),
+    (TransformLabel.III, re.compile(b"(?=\x01\x01)")),
+    (TransformLabel.IV, re.compile(b"(?=\x03\x03)")),
+)
+# Byte values clipped at 4: an entry of 4 or more ends no gap rule.
+_CLIP_AT_4 = bytes(min(x, 4) for x in range(256))
+
+
+def _instances(d: tuple[int, ...]) -> Iterator[tuple[TransformLabel, int, Optional[int]]]:
+    """The instances applicable lists, lazily, on a delta vector already checked.
+
+    Each label's block is found by C-level scans (max/min, compress,
+    bytes.translate, one regex per gap rule, index), and only a label
+    whose preconditions can hold is scanned, so taking the first
+    instance does not list the rest.
+    """
+    high, low = max(d), min(d)
+    if high >= 4:
+        for u in compress(count(1), map((3).__lt__, d)):
+            yield TransformLabel.Ia, u, None
+    elif high == 3 and low >= 2:
+        for u in compress(count(1), map((3).__eq__, d)):
+            yield TransformLabel.Ib, u, None
+    if low == high == 2 or low >= 4:
+        return
+    # The entries that are not 2, clipped at 4: an all-2 gap runs between
+    # neighbours here, so the gap rules are overlapping byte patterns.
+    packed = bytes(d) if high < 256 else bytes(map(min, d, repeat(4)))
+    ends = packed.translate(_CLIP_AT_4, b"\x02")
+    if len(ends) >= 2:
+        marks = list(compress(count(1), map((2).__ne__, d)))
+        for label, pattern in _GAP_PATTERNS:
+            for match in pattern.finditer(ends):
+                i = match.start()
+                yield label, marks[i], marks[i + 1]
+    elif ends == b"\x01":
+        u = d.index(1) + 1
+        if 1 < u < len(d):
+            yield TransformLabel.V, u, None
 
 
 # Extra 2s in the block that replaces d_u..d_v, beyond its v - u entries.
@@ -104,7 +122,7 @@ def apply_rule(
     check_int(u, "u")
     if v is not None:
         check_int(v, "v")
-    if (label, u, v) not in _applicable(d):
+    if (label, u, v) not in _instances(d):
         raise ValueError(f"rule {label} does not apply at u={u}, v={v} to {d}")
     return _apply(d, label, u, v, p)
 
@@ -112,7 +130,7 @@ def apply_rule(
 def _apply(
     d: tuple[int, ...], label: TransformLabel, u: int, v: Optional[int], p: int
 ) -> tuple[tuple[int, ...], bool]:
-    """apply_rule on an instance that _applicable(d) lists, unchecked."""
+    """apply_rule on an instance that _instances(d) yields, unchecked."""
     if label is TransformLabel.V:
         return (2,) * (len(d) - 1) + (1,), True
     if v is None:
@@ -179,10 +197,11 @@ class Trace:
 def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     """Drive d0 to a terminal delta vector, recording every step.
 
-    Applies the first applicable instance (order fixed by applicable)
-    until none applies. Energies never decrease along the trace and
-    strictly increase except at energy-preserving III steps. The
-    terminal vector is always one of canonical_maximizer(order).
+    Applies the first applicable instance (order fixed by applicable),
+    drawn alone from the lazy scan, until none applies. Energies never
+    decrease along the trace and strictly increase except at
+    energy-preserving III steps. The terminal vector is always one of
+    canonical_maximizer(order).
 
     d0, its sum and p are checked once here. Every later vector is built
     by a rule from a checked one, so the loop runs the unchecked scan,
@@ -197,13 +216,10 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     steps: list[TransformStep] = []
     energy = _gap_energy(p, s, d, 0)
     limit = 4 * s + 16
-    while True:
-        instances = _applicable(d)
-        if not instances:
-            break
+    while (instance := next(_instances(d), None)) is not None:
         if len(steps) >= limit:
             raise RuntimeError(f"rewrite did not terminate within {limit} steps from {d0}")
-        label, u, v = instances[0]
+        label, u, v = instance
         after, strict = _apply(d, label, u, v, p)
         energy_after = _gap_energy(p, s, after, 0)
         steps.append(TransformStep(label, u, v, d, after, energy, energy_after, strict))

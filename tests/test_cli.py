@@ -254,6 +254,51 @@ def test_verify_caps_pmax_before_the_sieve(capsys, monkeypatch):
         assert "cap" in err
 
 
+BIG_P = "1000000000000000000000007"
+EXPONENTS_2500 = ",".join(map(str, range(2500)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # unbounded, these printed 108 MB, 60 MB and 10 MB
+        ["emax", "--p", BIG_P, "--s", "3000", "--format", "csv"],
+        ["emin", "--p", BIG_P, "--s", "3000", "--format", "csv"],
+        ["emax", "--p", "2", "--s", "20000"],
+        ["emin", "--p", "2", "--s", "20000"],
+        ["trace", "--p", "2", "--s", "4000", "--delta", "3999"],
+        # 3162 numbers of 3163 bits, one s past the cap at p = 2
+        ["emax", "--p", "2", "--s", "3162"],
+        ["energy", "--p", "2", "--s", "4000", "--exponents", EXPONENTS_2500],
+    ],
+)
+def test_output_cap_refuses_before_any_number_theory(capsys, monkeypatch, argv):
+    def no_order(p, s):
+        raise AssertionError(f"PrimePowerOrder({p}, {s}) built")
+
+    monkeypatch.setattr(cli, "PrimePowerOrder", no_order)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "output cap" in err
+
+
+def test_output_cap_admits_output_at_the_cap(capsys):
+    # 2500 numbers of bit_length(2^3999) = 4000 bits: exactly OUTPUT_BITS_CAP.
+    assert 2500 * 4000 == cli.OUTPUT_BITS_CAP
+    argv = ["energy", "--p", "2", "--s", "3999", "--exponents", EXPONENTS_2500]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert "energy (formula)" in out
+
+
+def test_output_cap_leaves_invalid_orders_to_their_own_checks(capsys):
+    for argv in (["emax", "--p", "2", "--s", "-100000"], ["emin", "--p", "-7", "--s", "99999"]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1, argv
+        assert "usage error" in err
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

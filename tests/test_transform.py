@@ -22,6 +22,7 @@ from icgraph import (
     energy_prime_power,
     normalize,
 )
+from icgraph import transform
 from icgraph.numtheory import check_int
 from icgraph.transform import Trace
 
@@ -225,6 +226,65 @@ def test_applicable_matches_the_rule_table_up_to_total_40(d):
     assert applicable(d) == _reference_applicable(d)
 
 
+def _list_comprehension_applicable(d):
+    """The instance lister before the lazy scan: per-entry loops, one list per label."""
+    gap_rules = {(1, 3): II, (3, 1): II, (1, 1): III, (3, 3): IV}
+    r1 = len(d)
+    positions = range(1, r1 + 1)
+    out = [(Ia, u, None) for u in positions if d[u - 1] >= 4]
+    if max(d) == 3 and min(d) >= 2:
+        out += [(Ib, u, None) for u in positions if d[u - 1] == 3]
+    marks = [u for u in positions if d[u - 1] != 2]
+    gaps = [(gap_rules.get((d[u - 1], d[v - 1])), u, v) for u, v in zip(marks, marks[1:])]
+    for label in (II, III, IV):
+        out += [gap for gap in gaps if gap[0] is label]
+    if len(marks) == 1 and d[marks[0] - 1] == 1 and 1 < marks[0] < r1:
+        out.append((V, marks[0], None))
+    return out
+
+
+# Entries past 255 do not fit a byte, so they take the other packing.
+_wide_entries = st.one_of(st.sampled_from([1, 2, 2, 2, 3]), st.integers(1, 300))
+
+
+@given(st.lists(_wide_entries, min_size=1, max_size=24))
+def test_applicable_matches_the_list_comprehension_scan(d):
+    assert applicable(d) == _list_comprehension_applicable(d)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        (2,), (2,) * 9,  # all 2s: nothing applies
+        (1,), (3,), (300,), (1, 2), (2, 1), (1, 2, 2), (2, 2, 1), (256, 2, 300),
+        (2, 1, 2), (2, 2, 1, 2, 2), (2,) * 7 + (1, 2),  # V only
+        (2, 300, 1, 2, 1, 256), (300, 3, 2, 3, 1, 2, 1, 2, 3), (3, 2, 2, 3, 2, 3),
+    ],
+)
+def test_applicable_matches_the_list_comprehension_scan_on_edge_cases(d):
+    assert applicable(d) == _list_comprehension_applicable(d)
+
+
+def test_applicable_refuses_the_empty_vector():
+    with pytest.raises(ValueError):
+        applicable(())
+
+
+@given(st.lists(_wide_entries, min_size=1, max_size=7), st.sampled_from(SMALL_PRIMES))
+def test_apply_rule_accepts_exactly_the_listed_instances(d, p):
+    d = tuple(d)
+    listed = _list_comprehension_applicable(d)
+    positions = range(0, len(d) + 2)
+    for label in TransformLabel:
+        for u in positions:
+            for v in (None, *positions):
+                if (label, u, v) in listed:
+                    apply_rule(d, label, u, v, p)
+                else:
+                    with pytest.raises(ValueError):
+                        apply_rule(d, label, u, v, p)
+
+
 def test_applicable_order_is_deterministic():
     d = (4, 3, 1, 2, 1)
     assert applicable(d) == [
@@ -236,6 +296,7 @@ def test_applicable_order_is_deterministic():
 
 def test_applicable_on_terminal_vectors_is_empty():
     assert applicable((2, 2, 2)) == []
+    assert applicable((2,) * 9) == []
     assert applicable((2, 2, 1)) == []
     assert applicable((1, 2, 2)) == []
 
@@ -455,6 +516,39 @@ def test_normalize_matches_a_loop_over_the_public_rules(d, p):
 def test_normalize_matches_a_loop_over_the_public_rules_at_large_s(p, d0):
     order = PrimePowerOrder(p, sum(d0) + 1)
     assert normalize(d0, order) == _reference_normalize(d0, order)
+
+
+def _normalize_one_instance_per_step(d0, order):
+    """normalize with the listing applicable disabled and every drawn instance counted."""
+    scan, drawn = transform._instances, []
+
+    def counted(d):
+        for instance in scan(d):
+            drawn.append(instance)
+            yield instance
+
+    def no_list(d):
+        raise AssertionError(f"normalize listed every instance of {d}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "applicable", no_list)
+        patch.setattr(transform, "_instances", counted)
+        trace = normalize(d0, order)
+    assert len(drawn) == len(trace.steps)
+    return trace
+
+
+def test_normalize_draws_one_instance_per_step():
+    order = PrimePowerOrder(2, 1000)
+    trace = _normalize_one_instance_per_step((999,), order)
+    assert len(trace.steps) == 499
+    assert trace == _reference_normalize((999,), order)
+
+
+@given(_long_compositions(), st.sampled_from(SMALL_PRIMES))
+def test_normalize_draws_one_instance_per_step_on_compositions(d, p):
+    order = PrimePowerOrder(p, sum(d) + 1)
+    assert _normalize_one_instance_per_step(d, order) == _reference_normalize(d, order)
 
 
 def _assert_step_energies_are_direct(d0, p):
