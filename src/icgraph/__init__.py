@@ -12,96 +12,70 @@ system on difference vectors that increases energy step by step until
 a maximizer is reached.
 """
 
-from .energy import (
-    canonical_maximizer,
-    classify_energeticity,
-    classify_energy,
-    emax_alternative,
-    emax_closed,
-    emin_closed,
-    energy_general,
-    energy_prime_power,
-    h_equidistant,
-    h_value,
-    koolen_moulton_check,
-    spectrum_gcd_graph,
-)
-from .model import (
-    PrimePowerOrder,
-    ResourceLimitError,
-    check_divisor_set,
-    check_exponent_tuple,
-    delta,
-    delta_inverse,
-    divisor_set_of,
-    is_connected,
-    reverse_complement,
-)
-from .numtheory import (
-    divisors,
-    factorize,
-    is_prime,
-    mobius,
-    ramanujan_sum,
-    totient,
-)
-from .search import (
-    MaximizerReport,
-    brute_force_emax_general,
-    brute_force_emax_prime_power,
-    derivative,
-    tableau_reduction_check,
-    verify_theorem,
-)
-from .transform import (
-    Trace,
-    TransformLabel,
-    TransformStep,
-    applicable,
-    apply_rule,
-    normalize,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PrimePowerOrder",
-    "ResourceLimitError",
-    "MaximizerReport",
-    "Trace",
-    "TransformLabel",
-    "TransformStep",
-    "applicable",
-    "apply_rule",
-    "brute_force_emax_general",
-    "brute_force_emax_prime_power",
-    "canonical_maximizer",
-    "check_divisor_set",
-    "check_exponent_tuple",
-    "classify_energeticity",
-    "classify_energy",
-    "delta",
-    "delta_inverse",
-    "derivative",
-    "divisor_set_of",
-    "divisors",
-    "emax_alternative",
-    "emax_closed",
-    "emin_closed",
-    "energy_general",
-    "energy_prime_power",
-    "factorize",
-    "h_equidistant",
-    "h_value",
-    "is_connected",
-    "is_prime",
-    "koolen_moulton_check",
-    "mobius",
-    "normalize",
-    "ramanujan_sum",
-    "reverse_complement",
-    "spectrum_gcd_graph",
-    "tableau_reduction_check",
-    "totient",
-    "verify_theorem",
-]
+# Each public name and the layer module that defines it. Names and layer
+# submodules resolve on first access (PEP 562), so `import icgraph` loads
+# no layer, and each resolved object is bound here: later lookups are
+# plain attribute reads.
+_EXPORTS = {
+    "PrimePowerOrder": "model",
+    "ResourceLimitError": "numtheory",
+    "MaximizerReport": "search",
+    "Trace": "transform",
+    "TransformLabel": "transform",
+    "TransformStep": "transform",
+    "applicable": "transform",
+    "apply_rule": "transform",
+    "brute_force_emax_general": "search",
+    "brute_force_emax_prime_power": "search",
+    "canonical_maximizer": "energy",
+    "check_divisor_set": "model",
+    "check_exponent_tuple": "model",
+    "classify_energeticity": "energy",
+    "classify_energy": "energy",
+    "delta": "model",
+    "delta_inverse": "model",
+    "derivative": "search",
+    "divisor_set_of": "model",
+    "divisors": "numtheory",
+    "emax_alternative": "energy",
+    "emax_closed": "energy",
+    "emin_closed": "energy",
+    "energy_general": "energy",
+    "energy_prime_power": "energy",
+    "factorize": "numtheory",
+    "h_equidistant": "energy",
+    "h_value": "energy",
+    "is_connected": "model",
+    "is_prime": "numtheory",
+    "koolen_moulton_check": "energy",
+    "mobius": "numtheory",
+    "normalize": "transform",
+    "ramanujan_sum": "numtheory",
+    "reverse_complement": "model",
+    "spectrum_gcd_graph": "energy",
+    "tableau_reduction_check": "search",
+    "totient": "numtheory",
+    "verify_theorem": "search",
+}
+_LAYERS = ("cli", "energy", "model", "numtheory", "search", "transform")
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif name in _LAYERS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_LAYERS})

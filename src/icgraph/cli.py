@@ -20,8 +20,6 @@ Exit codes: 0 success, 1 usage error, 2 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 import time
 from collections import Counter
@@ -46,12 +44,9 @@ from .model import (
     parse_ints,
 )
 from .numtheory import factorize, primes_up_to
-from .search import (
-    PRIME_POWER_EXPONENT_CAP,
-    brute_force_emax_prime_power,
-    verify_theorem,
-)
-from .transform import normalize
+
+# search and transform (and json, csv) load only in the commands that use
+# them, so a command pays at start-up for its own layers alone.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,8 +71,12 @@ class _Parser(argparse.ArgumentParser):
 def _render(record: dict, lines: list[str], rows: Optional[list[list]], fmt: str) -> None:
     """Write one command's output; rows None means key,value rows of its results."""
     if fmt == "json":
+        import json
+
         sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
     elif fmt == "csv":
+        import csv
+
         if rows is None:
             rows = [["key", "value"]]
             rows += [[key, _flat(value)] for key, value in sorted(record["results"].items())]
@@ -193,6 +192,8 @@ def cmd_emax(args):
     for t, ds in zip(tuples, results["maximizer_divisor_sets"]):
         lines.append(f"maximizer a = {format_ints(t)}  D = {format_ints(ds)}")
     if args.brute:
+        from .search import brute_force_emax_prime_power
+
         report = brute_force_emax_prime_power(order, jobs=args.jobs)
         agreement = report.emax == value and sorted(report.maximizers) == sorted(sets)
         results["brute_emax"] = str(report.emax)
@@ -230,6 +231,8 @@ def cmd_emin(args):
 
 
 def cmd_trace(args):
+    from .transform import normalize
+
     _check_output_size(args.p, args.s, args.s)
     order = PrimePowerOrder(args.p, args.s)
     trace = normalize(args.delta, order)
@@ -312,6 +315,8 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
+    from .search import PRIME_POWER_EXPONENT_CAP, verify_theorem
+
     if args.smax > PRIME_POWER_EXPONENT_CAP:
         raise ResourceLimitError(
             f"--smax {args.smax} exceeds the enumeration cap {PRIME_POWER_EXPONENT_CAP}"

@@ -25,9 +25,8 @@ All arithmetic is exact: ints and fractions.Fraction throughout.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .model import (
     PrimePowerOrder,
@@ -37,6 +36,9 @@ from .model import (
     delta_inverse,
 )
 from .numtheory import check_int, check_prime, divisors, ramanujan_sum
+
+if TYPE_CHECKING:  # fractions is imported only by the functions that build one
+    from fractions import Fraction
 
 # energy_general / spectrum_gcd_graph refuse larger n; the per-order
 # gcd histogram pass is O(n log n) and meant for desk-scale checking.
@@ -80,6 +82,8 @@ def h_value(p: int, a: Sequence[int]) -> Fraction:
 
     a must be strictly increasing with nonnegative entries; r = 1 gives 0.
     """
+    from fractions import Fraction
+
     check_prime(p)
     a = check_exponent_tuple(a, math.inf)  # h puts no bound on the top exponent
     return Fraction(_pair_sum(p, _gaps(a), 0), p ** (a[-1] - a[0]))
@@ -240,6 +244,8 @@ def h_equidistant(p: int, s: int) -> Fraction:
         + (p^s - 1) / ((p^2-1) p^(s-1)).
     Must (and does, see tests) agree with h_value on those tuples.
     """
+    from fractions import Fraction
+
     check_prime(p)
     check_int(s, "s", 2)
     sq = (p * p - 1) ** 2

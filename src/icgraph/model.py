@@ -14,23 +14,29 @@ here; divisor sets are canonically sorted tuples of ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # ResourceLimitError is defined in numtheory and re-exported here.
 from .numtheory import ResourceLimitError, check_int, check_prime
 
 
-@dataclass(frozen=True)
-class PrimePowerOrder:
-    """Graph order n = p^s with p prime and s >= 1."""
+class PrimePowerOrder(NamedTuple("PrimePowerOrder", [("p", int), ("s", int)])):
+    """Graph order n = p^s with p prime and s >= 1.
 
-    p: int
-    s: int
+    An immutable (p, s) tuple; every way to build one checks p and s.
+    """
 
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        check_int(self.s, "s", 1)
+    __slots__ = ()
+
+    def __new__(cls, p: int, s: int) -> PrimePowerOrder:
+        check_prime(p)
+        check_int(s, "s", 1)
+        return super().__new__(cls, p, s)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> PrimePowerOrder:
+        # namedtuple's _make (and _replace, which calls it) skip __new__.
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

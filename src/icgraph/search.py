@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from operator import add, mul
 from typing import Callable, Sequence
@@ -272,6 +271,8 @@ def tableau_reduction_check(p: int, a: Sequence[int], u: int, v: int) -> bool:
 
     U = sum_{k<=u} p^a_k, V = sum_{i>v} p^-a_i. Returns their equality.
     """
+    from fractions import Fraction
+
     check_prime(p)
     _, r = admissible_context(a)
     a = tuple(a)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from icgraph import cli
+from icgraph import cli, search
 from icgraph.model import parse_ints
 
 from helpers import src_env
@@ -360,7 +360,8 @@ def test_oracle_disagreement_exits_3(capsys, monkeypatch):
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
     ok_problems = (False, ["emax mismatch"])
-    monkeypatch.setattr(cli, "verify_theorem", lambda order, jobs=1: ok_problems)
+    # cli imports verify_theorem when verify runs, so the fault goes into search.
+    monkeypatch.setattr(search, "verify_theorem", lambda order, jobs=1: ok_problems)
     code, out, _ = run_cli(capsys, ["verify", "--pmax", "2", "--smax", "1"])
     assert code == 3
 

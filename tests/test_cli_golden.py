@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from icgraph import cli
+from icgraph import cli, search
 
 TESTS = Path(__file__).resolve().parent
 CATALOG = json.loads((TESTS.parent / "benchmarks" / "data" / "cli_golden.json").read_text())
@@ -29,11 +29,13 @@ def _emax_plus_two(real):
     return patched
 
 
-# Faults injected so the discrepancy renders can be reached at all.
+# Faults injected so the discrepancy renders can be reached at all, each
+# with the module it goes into: cli imports verify_theorem from search
+# only when verify runs.
 PATCHES = {
-    "emax_closed": _emax_plus_two(cli.emax_closed),
-    "energy_prime_power": lambda order, a: 4,
-    "verify_theorem": lambda order, jobs=1: (False, ["emax mismatch"]),
+    "emax_closed": (cli, _emax_plus_two(cli.emax_closed)),
+    "energy_prime_power": (cli, lambda order, a: 4),
+    "verify_theorem": (search, lambda order, jobs=1: (False, ["emax mismatch"])),
 }
 
 CASES = [dict(entry, exit=0, system_exit=False, patch=None) for entry in CATALOG]
@@ -45,7 +47,8 @@ def run_case(case, monkeypatch, capsys):
     # argparse wraps --help text to the terminal width.
     monkeypatch.setenv("COLUMNS", "80")
     if case["patch"]:
-        monkeypatch.setattr(cli, case["patch"], PATCHES[case["patch"]])
+        target, fault = PATCHES[case["patch"]]
+        monkeypatch.setattr(target, case["patch"], fault)
     try:
         code, system_exit = cli.main(list(case["argv"])), False
     except SystemExit as exc:

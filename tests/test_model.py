@@ -1,5 +1,7 @@
 """Orders, exponent tuples, delta vectors and divisor set plumbing."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,6 +44,59 @@ def test_order_is_immutable_and_hashable():
     with pytest.raises(Exception):
         o.p = 5
     assert len({PrimePowerOrder(3, 4), PrimePowerOrder(3, 4)}) == 1
+
+
+def test_order_record_construction_and_rendering():
+    o = PrimePowerOrder(p=2, s=3)
+    assert o == PrimePowerOrder(2, 3)
+    assert (o.p, o.s, o.n) == (2, 3, 8)
+    assert repr(o) == "PrimePowerOrder(p=2, s=3)"
+    assert str(o) == "2^3"
+    assert hash(o) == hash(PrimePowerOrder(2, 3))
+    assert o != PrimePowerOrder(3, 2)
+
+
+def test_order_attributes_cannot_be_set():
+    o = PrimePowerOrder(3, 4)
+    for name in ("p", "s", "n", "other"):
+        with pytest.raises(AttributeError):
+            setattr(o, name, 5)
+    assert (o.p, o.s) == (3, 4)
+
+
+def test_order_survives_a_pickle_round_trip():
+    # search's pool workers receive the order pickled inside a partial.
+    o = PrimePowerOrder(1000000007, 20)
+    back = pickle.loads(pickle.dumps(o))
+    assert back == o and type(back) is PrimePowerOrder and back.n == o.n
+
+
+BAD_ORDERS = [
+    ((4, 2), "p must be prime, got 4"),
+    ((1, 3), "p must be prime, got 1"),
+    ((2.0, 3), "p must be an int, got 2.0"),
+    ((True, 3), "p must be an int, got True"),
+    ((2, 0), "s must be an int >= 1, got 0"),
+    ((2, -1), "s must be an int >= 1, got -1"),
+    ((2, "3"), "s must be an int >= 1, got '3'"),
+]
+
+
+@pytest.mark.parametrize("ps, message", BAD_ORDERS)
+def test_every_construction_path_checks_p_and_s(ps, message):
+    p, s = ps
+    good = PrimePowerOrder(2, 3)
+    builders = [
+        lambda: PrimePowerOrder(p, s),
+        lambda: PrimePowerOrder(p=p, s=s),
+        lambda: PrimePowerOrder._make((p, s)),
+        lambda: good._replace(p=p, s=s),
+        lambda: PrimePowerOrder.__new__(PrimePowerOrder, p, s),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_check_exponent_tuple_accepts_valid():
