@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # Each public name and the layer module that defines it. Names and layer
 # submodules resolve on first access (PEP 562), so `import icgraph` loads
 # no layer, and each resolved object is bound here: later lookups are
-# plain attribute reads.
+# plain attribute reads. The test oracles stay in the `oracles` layer.
 _EXPORTS = {
     "PrimePowerOrder": "model",
     "ResourceLimitError": "numtheory",
@@ -34,20 +34,16 @@ _EXPORTS = {
     "canonical_maximizer": "energy",
     "check_divisor_set": "model",
     "check_exponent_tuple": "model",
-    "classify_energeticity": "energy",
     "classify_energy": "energy",
     "delta": "model",
     "delta_inverse": "model",
-    "derivative": "search",
     "divisor_set_of": "model",
     "divisors": "numtheory",
-    "emax_alternative": "energy",
     "emax_closed": "energy",
     "emin_closed": "energy",
     "energy_general": "energy",
     "energy_prime_power": "energy",
     "factorize": "numtheory",
-    "h_equidistant": "energy",
     "h_value": "energy",
     "is_connected": "model",
     "is_prime": "numtheory",
@@ -57,11 +53,10 @@ _EXPORTS = {
     "ramanujan_sum": "numtheory",
     "reverse_complement": "model",
     "spectrum_gcd_graph": "energy",
-    "tableau_reduction_check": "search",
     "totient": "numtheory",
     "verify_theorem": "search",
 }
-_LAYERS = ("cli", "energy", "model", "numtheory", "search", "transform")
+_LAYERS = ("cli", "energy", "model", "numtheory", "oracles", "search", "transform")
 
 __all__ = list(_EXPORTS)
 

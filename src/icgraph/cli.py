@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 usage error, 2 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from collections import Counter
@@ -36,14 +37,13 @@ from .energy import (
 )
 from .model import (
     PrimePowerOrder,
-    ResourceLimitError,
     check_divisor_set,
     delta_inverse,
     divisor_set_of,
     format_ints,
     parse_ints,
 )
-from .numtheory import factorize, primes_up_to
+from .numtheory import ResourceLimitError, factorize, primes_up_to
 
 # search and transform (and json, csv) load only in the commands that use
 # them, so a command pays at start-up for its own layers alone.
@@ -93,22 +93,36 @@ def _flat(value) -> str:
     return str(value)
 
 
-def _check_output_size(p: int, s: int, entries: int) -> None:
-    """Refuse a command that would print more than OUTPUT_BITS_CAP bits of numbers.
+def _order(p: int, s: int, entries: int) -> PrimePowerOrder:
+    """PrimePowerOrder(p, s), refused first if `entries` numbers that big pass the output cap.
 
-    It prints `entries` numbers of up to bit_length(p**s) bits each;
-    s * bit_length(p - 1) + 1 bounds that from above (exactly at p = 2)
-    without computing p**s or testing p. An out-of-range p or s is left
-    to PrimePowerOrder's checks.
+    s * bit_length(p - 1) + 1 bounds the bits of a number up to p**s
+    (exactly at p = 2) without computing p**s or testing p. An
+    out-of-range p or s is left to PrimePowerOrder's checks.
     """
-    if p < 2 or s < 1:
-        return
-    bits = s * (p - 1).bit_length() + 1
-    if entries * bits > OUTPUT_BITS_CAP:
-        raise ResourceLimitError(
-            f"{entries} numbers of up to {bits} bits exceed the output cap of "
-            f"{OUTPUT_BITS_CAP} bits"
-        )
+    if p >= 2 and s >= 1:
+        bits = s * (p - 1).bit_length() + 1
+        if entries * bits > OUTPUT_BITS_CAP:
+            raise ResourceLimitError(
+                f"{entries} numbers of up to {bits} bits exceed the output cap of "
+                f"{OUTPUT_BITS_CAP} bits"
+            )
+    return PrimePowerOrder(p, s)
+
+
+def _instance(n: int, divisors) -> tuple[tuple[int, ...], list[str], list[str]]:
+    """The checked divisor set of (n, D), D as decimal strings, and the header lines.
+
+    The table reuses the record's decimal strings: str() of a big int
+    takes time quadratic in its digits.
+    """
+    ds = check_divisor_set(n, divisors)
+    strings = [str(d) for d in ds]
+    return ds, strings, [f"order n = {n}", f"divisor set D = {format_ints(strings)}"]
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "NO"
 
 
 def _int_list(value: str) -> tuple[int, ...]:
@@ -128,27 +142,23 @@ def cmd_energy(args):
     if by_pp:
         if args.p is None or args.s is None or args.exponents is None:
             raise UsageError("--p, --s and --exponents belong together")
-        _check_output_size(args.p, args.s, len(args.exponents))
-        order = PrimePowerOrder(args.p, args.s)
-        exponents = args.exponents
-        n = order.n
-        ds = divisor_set_of(exponents, order)
+        order = _order(args.p, args.s, len(args.exponents))
+        exponents, n = args.exponents, order.n
+        ds, divisors, lines = _instance(n, divisor_set_of(exponents, order))
     else:
         if args.n is None or args.divisors is None:
             raise UsageError("--n and --divisors belong together")
         n = args.n
-        ds = check_divisor_set(n, args.divisors)
+        ds, divisors, lines = _instance(n, args.divisors)
         fac = factorize(n)
         order = PrimePowerOrder(*fac[0]) if len(fac) == 1 else None
-        exponents = tuple(dict(factorize(d)).get(order.p, 0) for d in ds) if order else None
+        # Each d divides p^s, so it is p^e exactly, and the float log is
+        # far closer than 1/2 to e for any d that fits in memory.
+        exponents = tuple(round(math.log(d, order.p)) for d in ds) if order else None
     method = args.method or ("formula" if order is not None else "spectral")
     if method in ("formula", "both") and order is None:
         raise UsageError(f"--method {method} needs a prime power order, {n} is not one")
 
-    # Table lines reuse the record's decimal strings: str() of a big int
-    # takes time quadratic in its digits.
-    divisors = [str(d) for d in ds]
-    lines = [f"order n = {n}", f"divisor set D = {format_ints(divisors)}"]
     if exponents is not None:
         lines.append(f"exponent tuple a = {format_ints(exponents)}")
     results: dict = {}
@@ -160,11 +170,10 @@ def cmd_energy(args):
         lines.append(f"energy (spectral) = {results['energy_spectral']}")
     if method == "both":
         results["agreement"] = results["energy_formula"] == results["energy_spectral"]
-        lines.append(f"agreement = {'yes' if results['agreement'] else 'NO'}")
+        lines.append(f"agreement = {_yes(results['agreement'])}")
     results["energy"] = results.get("energy_formula", results.get("energy_spectral"))
 
     record = {
-        "command": "energy",
         "inputs": {
             "n": str(n),
             "divisors": divisors,
@@ -179,8 +188,7 @@ def cmd_energy(args):
 
 
 def cmd_emax(args):
-    _check_output_size(args.p, args.s, args.s)
-    order = PrimePowerOrder(args.p, args.s)
+    order = _order(args.p, args.s, args.s)
     value, tuples = emax_closed(order)
     sets = [divisor_set_of(t, order) for t in tuples]
     results: dict = {
@@ -203,10 +211,9 @@ def cmd_emax(args):
         results["brute_examined"] = report.examined
         results["agreement"] = agreement
         lines.append(f"brute force over {report.examined} sets: emax = {report.emax}")
-        lines.append(f"agreement = {'yes' if agreement else 'NO'}")
+        lines.append(f"agreement = {_yes(agreement)}")
 
     record = {
-        "command": "emax",
         "inputs": {"p": str(order.p), "s": order.s, "brute": bool(args.brute)},
         "results": results,
     }
@@ -214,14 +221,13 @@ def cmd_emax(args):
 
 
 def cmd_emin(args):
-    _check_output_size(args.p, args.s, args.s)
-    order = PrimePowerOrder(args.p, args.s)
+    order = _order(args.p, args.s, args.s)
     value, sets = emin_closed(order)
     results = {
         "emin": str(value),
         "minimizer_divisor_sets": [[str(d) for d in ds] for ds in sets],
     }
-    record = {"command": "emin", "inputs": {"p": str(order.p), "s": order.s}, "results": results}
+    record = {"inputs": {"p": str(order.p), "s": order.s}, "results": results}
     lines = [
         f"order n = {order} = {order.n}",
         f"emin = {results['emin']}",
@@ -233,55 +239,43 @@ def cmd_emin(args):
 def cmd_trace(args):
     from .transform import normalize
 
-    _check_output_size(args.p, args.s, args.s)
-    order = PrimePowerOrder(args.p, args.s)
+    order = _order(args.p, args.s, args.s)
     trace = normalize(args.delta, order)
     if trace.steps:
-        first_energy, last_energy = trace.steps[0].energy_before, trace.steps[-1].energy_after
+        energy = trace.steps[0].energy_before
     else:
-        first_energy = last_energy = energy_prime_power(order, delta_inverse(trace.initial))
+        energy = energy_prime_power(order, delta_inverse(trace.initial))
 
-    def point(vector, energy) -> dict:
-        return {"vector": list(vector), "r": len(vector) + 1, "energy": str(energy)}
-
-    steps = [
-        {
-            "step": i + 1,
-            "label": step.label.value,
-            "u": step.u,
-            "v": step.v,
-            "before": list(step.before),
-            "after": list(step.after),
-            "r": len(step.after) + 1,
-            "energy_before": str(step.energy_before),
-            "energy_after": str(step.energy_after),
-            "strict": step.strict,
-        }
-        for i, step in enumerate(trace.steps)
-    ]
-    record = {
-        "command": "trace",
-        "inputs": {"p": str(order.p), "s": order.s, "delta": list(trace.initial)},
-        "initial": point(trace.initial, first_energy),
-        "steps": steps,
-        "terminal": point(trace.terminal, last_energy),
-    }
-    # csv columns are step fields, vectors written as (x,...); the table
-    # drops "before", prints None as "-" and starts with the initial vector.
-    fields = ("step", "label", "u", "v", "before", "after", "r", "energy_after")
+    # A step's "before" (vector and energy) is the previous step's "after",
+    # so each is formatted once. csv columns are step fields, vectors
+    # written as (x,...); the table drops "before", prints None as "-" and
+    # starts with the initial vector.
+    vector, energy, r = format_ints(trace.initial), str(energy), len(trace.initial) + 1
+    initial = {"vector": list(trace.initial), "r": r, "energy": energy}
+    steps = []
     rows = [["step", "label", "u", "v", "before", "after", "r", "energy"]]
-    rows += [
-        [format_ints(step[f]) if f in ("before", "after") else step[f] for f in fields]
-        for step in steps
-    ]
-    start = record["initial"]
     table = [
         ["step", "label", "u", "v", "vector", "r", "energy"],
-        ["0", "-", "-", "-", format_ints(start["vector"]), str(start["r"]), start["energy"]],
+        ["0", "-", "-", "-", vector, str(r), energy],
     ]
-    table += [
-        ["-" if cell is None else str(cell) for cell in row[:4] + row[5:]] for row in rows[1:]
-    ]
+    for i, step in enumerate(trace.steps, 1):
+        label, r = step.label.value, len(step.after) + 1
+        after, after_energy = format_ints(step.after), str(step.energy_after)
+        steps.append({
+            "step": i, "label": label, "u": step.u, "v": step.v,
+            "before": list(step.before), "after": list(step.after), "r": r,
+            "energy_before": energy, "energy_after": after_energy, "strict": step.strict,
+        })
+        rows.append([i, label, step.u, step.v, vector, after, r, after_energy])
+        head = ["-" if cell is None else str(cell) for cell in (i, label, step.u, step.v)]
+        table.append([*head, after, str(r), after_energy])
+        vector, energy = after, after_energy
+    record = {
+        "inputs": {"p": str(order.p), "s": order.s, "delta": list(trace.initial)},
+        "initial": initial,
+        "steps": steps,
+        "terminal": {"vector": list(trace.terminal), "r": r, "energy": energy},
+    }
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     return record, lines, rows
@@ -289,7 +283,7 @@ def cmd_trace(args):
 
 def cmd_classify(args):
     n = args.n
-    ds = check_divisor_set(n, args.divisors)
+    ds, divisors, lines = _instance(n, args.divisors)
     energy = energy_general(n, ds)
     threshold = 2 * (n - 1)
     results = {
@@ -298,18 +292,12 @@ def cmd_classify(args):
         "classification": classify_energy(n, energy),
         "koolen_moulton_ok": koolen_moulton_check(n, energy),
     }
-    record = {
-        "command": "classify",
-        "inputs": {"n": str(n), "divisors": [str(d) for d in ds]},
-        "results": results,
-    }
-    lines = [
-        f"order n = {n}",
-        f"divisor set D = {format_ints(ds)}",
-        f"energy = {energy}",
+    record = {"inputs": {"n": str(n), "divisors": divisors}, "results": results}
+    lines += [
+        f"energy = {results['energy']}",
         f"complete graph threshold 2(n-1) = {threshold}",
         f"classification = {results['classification']}",
-        f"koolen-moulton bound satisfied = {'yes' if results['koolen_moulton_ok'] else 'NO'}",
+        f"koolen-moulton bound satisfied = {_yes(results['koolen_moulton_ok'])}",
     ]
     return record, lines, None
 
@@ -327,8 +315,7 @@ def cmd_verify(args):
         raise UsageError(f"--pmax must be >= 2, got {args.pmax}")
     if args.smax < 1:
         raise UsageError(f"--smax must be >= 1, got {args.smax}")
-    cases = []
-    lines = []
+    cases, lines = [], []
     rows = [["p", "s", "ok", "emax"]]
     for p in primes_up_to(args.pmax):
         for s in range(1, args.smax + 1):
@@ -346,7 +333,6 @@ def cmd_verify(args):
         f"{len(cases)} cases, {failures} failures" if failures else f"all {len(cases)} cases agree"
     )
     record = {
-        "command": "verify",
         "inputs": {"pmax": args.pmax, "smax": args.smax},
         "cases": cases,
         "results": {"cases": len(cases), "failures": failures, "all_ok": failures == 0},
@@ -356,27 +342,21 @@ def cmd_verify(args):
 
 def cmd_spectrum(args):
     n = args.n
-    ds = check_divisor_set(n, args.divisors)
+    ds, divisors, lines = _instance(n, args.divisors)
     spec = spectrum_gcd_graph(n, ds)
     energy = sum(abs(x) for x in spec)
-    distinct = Counter(spec)
+    distinct = sorted(Counter(spec).items())
     record = {
-        "command": "spectrum",
-        "inputs": {"n": str(n), "divisors": [str(d) for d in ds]},
+        "inputs": {"n": str(n), "divisors": divisors},
         "results": {
             "degree": spec[0],
             "energy": str(energy),
-            "distinct": [[lam, mult] for lam, mult in sorted(distinct.items())],
+            "distinct": [[lam, mult] for lam, mult in distinct],
         },
         "eigenvalues": spec,
     }
-    lines = [
-        f"order n = {n}",
-        f"divisor set D = {format_ints(ds)}",
-        f"degree = {spec[0]}",
-        "eigenvalue . multiplicity:",
-    ]
-    lines.extend(f"  {lam} . {mult}" for lam, mult in sorted(distinct.items(), reverse=True))
+    lines += [f"degree = {spec[0]}", "eigenvalue . multiplicity:"]
+    lines.extend(f"  {lam} . {mult}" for lam, mult in reversed(distinct))
     lines.append(f"energy = {energy}")
     return record, lines, [["k", "eigenvalue"], *enumerate(spec)]
 
@@ -391,40 +371,33 @@ OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="icgraph",
-        description="Exact energies of integral circulant (gcd) graphs.",
-    )
-    parser.add_argument(
-        "--timing", action="store_true", help="print wall time to stderr"
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+PP = ("--p", "--s")
+INSTANCE = ("--n", "--divisors")
+# Each subcommand: its function, help, required options and optional ones.
+COMMANDS = {
+    "energy": (
+        cmd_energy, "energy of one gcd graph", (), (*PP, "--exponents", *INSTANCE, "--method")
+    ),
+    "emax": (cmd_emax, "maximal energy over divisor sets of p^s", PP, ("--brute", "--jobs")),
+    "emin": (cmd_emin, "minimal energy over divisor sets of p^s", PP, ()),
+    "trace": (cmd_trace, "rewrite a delta vector to the maximum", (*PP, "--delta"), ()),
+    "classify": (cmd_classify, "hyper/hypoenergetic classification", INSTANCE, ()),
+    "verify": (cmd_verify, "closed forms vs brute force sweep", ("--pmax", "--smax"), ("--jobs",)),
+    "spectrum": (cmd_spectrum, "all eigenvalues of one gcd graph", INSTANCE, ()),
+}
 
-    def command(name, func, help, required=(), optional=()) -> None:
+
+def build_parser() -> argparse.ArgumentParser:
+    description = "Exact energies of integral circulant (gcd) graphs."
+    parser = _Parser(prog="icgraph", description=description)
+    parser.add_argument("--timing", action="store_true", help="print wall time to stderr")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, help, required, optional) in COMMANDS.items():
         # --help lists options in the order they are added: --format last.
         p = sub.add_parser(name, help=help)
         for flag in (*required, *optional):
             p.add_argument(flag, required=flag in required, **OPTIONS[flag])
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.set_defaults(func=func)
-
-    pp = ("--p", "--s")
-    instance = ("--n", "--divisors")
-    command(
-        "energy", cmd_energy, "energy of one gcd graph",
-        optional=(*pp, "--exponents", *instance, "--method"),
-    )
-    command(
-        "emax", cmd_emax, "maximal energy over divisor sets of p^s", pp, ("--brute", "--jobs")
-    )
-    command("emin", cmd_emin, "minimal energy over divisor sets of p^s", pp)
-    command("trace", cmd_trace, "rewrite a delta vector to the maximum", (*pp, "--delta"))
-    command("classify", cmd_classify, "hyper/hypoenergetic classification", instance)
-    command(
-        "verify", cmd_verify, "closed forms vs brute force sweep", ("--pmax", "--smax"), ("--jobs",)
-    )
-    command("spectrum", cmd_spectrum, "all eigenvalues of one gcd graph", instance)
     return parser
 
 
@@ -437,7 +410,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         set_digits(0)
-        record, lines, rows = args.func(args)
+        record, lines, rows = COMMANDS[args.subcommand][0](args)
+        record["command"] = args.subcommand
         _render(record, lines, rows, args.format)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

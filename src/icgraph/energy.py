@@ -15,9 +15,9 @@ Two independent routes to the energy (sum of absolute eigenvalues):
 
 Closed forms for the minimal and maximal energy over divisor sets of
 p^s live here too, with the maximizer shapes (canonical_maximizer, the
-one list of them; the transform module re-exports it), the equidistant
-h sums they rest on, the hyper/hypoenergetic classification against
-2(n-1), and the Koolen-Moulton bound check.
+one list of them; the transform module re-exports it), the
+hyper/hypoenergetic classification against 2(n-1), and the
+Koolen-Moulton bound check.
 
 All arithmetic is exact: ints and fractions.Fraction throughout.
 """
@@ -28,14 +28,8 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .model import (
-    PrimePowerOrder,
-    ResourceLimitError,
-    check_divisor_set,
-    check_exponent_tuple,
-    delta_inverse,
-)
-from .numtheory import check_int, check_prime, divisors, ramanujan_sum
+from .model import PrimePowerOrder, check_divisor_set, check_exponent_tuple, delta_inverse
+from .numtheory import ResourceLimitError, check_int, check_prime, divisors, ramanujan_sum
 
 if TYPE_CHECKING:  # fractions is imported only by the functions that build one
     from fractions import Fraction
@@ -211,51 +205,6 @@ def emax_closed(order: PrimePowerOrder) -> tuple[int, list[tuple[int, ...]]]:
     return value, [delta_inverse(d) for d in canonical_maximizer(order)] or [(0,)]
 
 
-def emax_alternative(order: PrimePowerOrder) -> int:
-    """Maximal energy in the summation form that shows the 2(p-1) factor.
-
-    s = 2m+1: 2(p-1)((m+1)p^(2m) - (p-1) sum_{j=0}^{m-1} (j+1)p^(2j)),
-    s = 2m:   2(p-1)(m p^(2m-1) - (p-1) sum_{j=0}^{m-3} (j+1)p^(2j+3) + 1),
-    with empty sums when the upper limit is negative. Equals emax_closed.
-    """
-    p, s = order.p, order.s
-    if s % 2:
-        m = (s - 1) // 2
-        inner = (m + 1) * p ** (2 * m) - (p - 1) * sum(
-            (j + 1) * p ** (2 * j) for j in range(m)
-        )
-    else:
-        m = s // 2
-        inner = (
-            m * p ** (2 * m - 1)
-            - (p - 1) * sum((j + 1) * p ** (2 * j + 3) for j in range(m - 2))
-            + 1
-        )
-    return 2 * (p - 1) * inner
-
-
-def h_equidistant(p: int, s: int) -> Fraction:
-    """Closed form of h at the gap-2 tuple, s >= 2.
-
-    Odd s uses (0,2,...,s-3,s-1):
-        ((s-1)p^(s+1) - (s+1)p^(s-1) + 2) / (2(p^2-1)^2 p^(s-1)).
-    Even s uses (0,2,...,s-2,s-1):
-        ((s-2)p^s - s p^(s-2) + 2) / (2(p^2-1)^2 p^(s-2))
-        + (p^s - 1) / ((p^2-1) p^(s-1)).
-    Must (and does, see tests) agree with h_value on those tuples.
-    """
-    from fractions import Fraction
-
-    check_prime(p)
-    check_int(s, "s", 2)
-    sq = (p * p - 1) ** 2
-    if s % 2:
-        return Fraction((s - 1) * p ** (s + 1) - (s + 1) * p ** (s - 1) + 2, 2 * sq * p ** (s - 1))
-    return Fraction((s - 2) * p**s - s * p ** (s - 2) + 2, 2 * sq * p ** (s - 2)) + Fraction(
-        p**s - 1, (p * p - 1) * p ** (s - 1)
-    )
-
-
 def classify_energy(n: int, energy: int) -> str:
     """Compare an energy to the complete graph's 2(n-1).
 
@@ -269,11 +218,6 @@ def classify_energy(n: int, energy: int) -> str:
     if energy < threshold:
         return "hypoenergetic"
     return "neither"
-
-
-def classify_energeticity(n: int, divisor_set: Iterable[int]) -> str:
-    """classify_energy applied to the spectral energy of (n, D)."""
-    return classify_energy(n, energy_general(n, divisor_set))
 
 
 def koolen_moulton_check(n: int, energy: int) -> bool:

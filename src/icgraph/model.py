@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-# ResourceLimitError is defined in numtheory and re-exported here.
-from .numtheory import ResourceLimitError, check_int, check_prime
+from .numtheory import check_int, check_prime
 
 
 class PrimePowerOrder(NamedTuple("PrimePowerOrder", [("p", int), ("s", int)])):
@@ -147,7 +146,7 @@ def is_connected(divisors: Iterable[int], order: PrimePowerOrder) -> bool:
 
 def format_ints(xs: Sequence[int]) -> str:
     """Render a tuple/vector/set as (x1,x2,...), the notation the CLI echoes."""
-    return "(" + ",".join(str(x) for x in xs) + ")"
+    return "(" + ",".join(map(str, xs)) + ")"
 
 
 def parse_ints(text: str) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Exhaustive divisor-set search and identity checkers.
+"""Exhaustive divisor-set search and the closed-form verifier.
 
 Brute-force enumeration over all nonempty divisor sets is the
 independent verifier for the closed-form maximal energies: it never
@@ -17,10 +17,6 @@ costs more than it saves; `jobs` is an upper bound. The pool is imported
 only when more than one worker runs, and the merge is deterministic
 (ties collected, then sorted), so reports are identical for any worker
 count.
-
-Also here: the (u, v)-derivative of an admissible tuple and the exact
-reduction identity relating h(a) to h of its derivative across a run
-of gap-2 entries, used as a test oracle.
 """
 
 from __future__ import annotations
@@ -29,18 +25,11 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from operator import add, mul
-from typing import Callable, Sequence
+from typing import Callable
 
-from .energy import _eigenvalue_classes, _gcd_class_counts, emax_closed, h_value
-from .model import (
-    PrimePowerOrder,
-    ResourceLimitError,
-    admissible_context,
-    check_divisor_set,
-    check_exponent_tuple,
-    divisor_set_of,
-)
-from .numtheory import check_int, check_prime, divisors
+from .energy import _eigenvalue_classes, _gcd_class_counts, emax_closed
+from .model import PrimePowerOrder, check_divisor_set, check_exponent_tuple, divisor_set_of
+from .numtheory import ResourceLimitError, check_int, divisors
 
 PRIME_POWER_EXPONENT_CAP = 20  # 2^s subsets enumerated
 ENUMERATION_N_CAP = 10**4
@@ -239,55 +228,3 @@ def verify_theorem(order: PrimePowerOrder, jobs: int = 1) -> tuple[bool, list[st
             f"{sorted(report.maximizers)}"
         )
     return not problems, problems
-
-
-def derivative(a: Sequence[int], u: int, v: int) -> tuple[int, ...]:
-    """(u, v)-derivative of an admissible tuple: drop one entry, shift the window.
-
-    a'_j = a_j for j <= u, a_j + 1 for u+1 <= j <= v-1, a_{j+1} for j >= v.
-    Needs r >= 3 and 1 <= u < v <= r-1; the result is again admissible.
-    """
-    _, r = admissible_context(a)
-    if r < 3:
-        raise ValueError(f"derivative needs r >= 3, got {tuple(a)}")
-    check_int(u, "u")
-    check_int(v, "v")
-    if not 1 <= u < v <= r - 1:
-        raise ValueError(f"need 1 <= u < v <= r-1 = {r - 1}, got u={u!r}, v={v!r}")
-    a = tuple(a)
-    out = a[:u] + tuple(a[j] + 1 for j in range(u, v - 1)) + a[v:]
-    admissible_context(out)
-    return out
-
-
-def tableau_reduction_check(p: int, a: Sequence[int], u: int, v: int) -> bool:
-    """Exact identity for h(a) - h(derivative(a, u, v)) across a gap-2 run.
-
-    Requires a_{j+1} - a_j = 2 for u+1 <= j <= v-1. The difference is
-    computed directly from h_value and independently as
-
-        (p + p^-2(v-u-1))/(p+1) * (U p^-a_{u+1} + p^a_v V)
-          + (1 - p^-2(v-u-1))/(p^2-1),
-
-    U = sum_{k<=u} p^a_k, V = sum_{i>v} p^-a_i. Returns their equality.
-    """
-    from fractions import Fraction
-
-    check_prime(p)
-    _, r = admissible_context(a)
-    a = tuple(a)
-    da = derivative(a, u, v)  # also validates r and (u, v)
-    for j in range(u + 1, v):
-        if a[j] - a[j - 1] != 2:
-            raise ValueError(
-                f"need gap 2 between entries {j} and {j + 1} of {a}, "
-                f"got {a[j] - a[j - 1]}"
-            )
-    lhs = h_value(p, a) - h_value(p, da)
-    big_u = sum(p ** a[k] for k in range(u))
-    big_v = sum(Fraction(1, p ** a[i]) for i in range(v, r))
-    width = Fraction(1, p ** (2 * (v - u - 1)))
-    rhs = Fraction(1, p + 1) * (p + width) * (
-        Fraction(big_u, p ** a[u]) + p ** a[v - 1] * big_v
-    ) + Fraction(1, p * p - 1) * (1 - width)
-    return lhs == rhs

@@ -21,18 +21,16 @@ from icgraph import (
     delta,
     delta_inverse,
     divisor_set_of,
-    emax_alternative,
     emax_closed,
     emin_closed,
     energy_general,
     energy_prime_power,
-    h_equidistant,
     h_value,
     koolen_moulton_check,
     reverse_complement,
-    tableau_reduction_check,
 )
 from icgraph.numtheory import primes_up_to
+from icgraph.oracles import emax_alternative, h_equidistant, tableau_reduction_check
 
 Ia, Ib, II, III, IV, V = TransformLabel  # definition order
 

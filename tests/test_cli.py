@@ -189,6 +189,29 @@ def test_verify_csv_columns(capsys):
     assert all(row[2] == "true" for row in rows[1:])
 
 
+@pytest.mark.parametrize(
+    "p, s, exponents",
+    [
+        (1000003, 120, range(0, 120, 2)),
+        (2, 10000, (0, 1, 2, 4999, 9998, 9999)),
+        (3, 8000, (0, 3999, 7998, 7999)),
+    ],
+)
+def test_energy_by_n_factorizes_n_alone(capsys, monkeypatch, p, s, exponents):
+    # Every d of a checked divisor set of p^s is a power of p, so its
+    # exponent is read off p. Factorizing each d took 9.9 s on the first case.
+    calls = []
+    factorize = cli.factorize
+    monkeypatch.setattr(cli, "factorize", lambda n: calls.append(n) or factorize(n))
+    divisors = ",".join(str(p**e) for e in exponents)
+    argv = ["energy", "--n", str(p**s), "--divisors", divisors, "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert calls == [p**s]
+    inputs = json.loads(out)["inputs"]
+    assert (inputs["p"], inputs["s"], inputs["exponents"]) == (str(p), s, list(exponents))
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-str limit"
 )

@@ -12,16 +12,13 @@ from hypothesis import strategies as st
 from icgraph import (
     PrimePowerOrder,
     ResourceLimitError,
-    classify_energeticity,
     classify_energy,
     divisor_set_of,
     divisors,
-    emax_alternative,
     emax_closed,
     emin_closed,
     energy_general,
     energy_prime_power,
-    h_equidistant,
     h_value,
     koolen_moulton_check,
     reverse_complement,
@@ -30,6 +27,7 @@ from icgraph import (
 )
 from icgraph import energy
 from icgraph.energy import SPECTRAL_N_CAP
+from icgraph.oracles import emax_alternative, h_equidistant
 
 from helpers import direct_energy, general_instances, order_and_tuple, small_order_and_tuple
 
@@ -188,7 +186,7 @@ def test_energy_general_known_values():
 def test_all_proper_divisors_give_complete_graph(n):
     ds = tuple(divisors(n)[:-1])
     assert energy_general(n, ds) == 2 * (n - 1)
-    assert classify_energeticity(n, ds) == "neither"
+    assert classify_energy(n, energy_general(n, ds)) == "neither"
 
 
 def test_energy_general_rejects_bad_sets():

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from helpers import src_env
+from helpers import SRC, src_env
 
 # Loaded only by the commands that need them.
 OPTIONAL = frozenset(
@@ -77,10 +77,12 @@ def test_layers_resolve_without_a_submodule_import():
         "import icgraph\n"
         "counts = icgraph.energy._gcd_class_counts\n"
         "brute = icgraph.search.brute_force_emax_prime_power\n"
-        "print(repr((counts.__module__, brute.__module__, counts(12))))\n"
+        "oracle = icgraph.oracles.emax_alternative\n"
+        "print(repr((counts.__module__, brute.__module__, oracle.__module__, counts(12))))\n"
     )
     # #{k mod 12 : gcd(k, 12) = d} for d = 1, 2, 3, 4, 6, 12
-    assert fresh(code) == ("icgraph.energy", "icgraph.search", (4, 2, 2, 2, 1, 1))
+    modules = ("icgraph.energy", "icgraph.search", "icgraph.oracles")
+    assert fresh(code) == (*modules, (4, 2, 2, 2, 1, 1))
 
 
 def test_a_resolved_name_is_bound_in_the_package():
@@ -102,7 +104,7 @@ def test_star_import_binds_exactly_all():
         "print(repr((sorted(ns), icgraph.__all__, dir(icgraph))))\n"
     )
     bound, names, listed = fresh(code)
-    assert len(names) == len(set(names)) == 39
+    assert len(names) == len(set(names)) == 34
     assert names[:6] == [
         "PrimePowerOrder", "ResourceLimitError", "MaximizerReport",
         "Trace", "TransformLabel", "TransformStep",
@@ -110,7 +112,7 @@ def test_star_import_binds_exactly_all():
     assert names[6:] == sorted(names[6:])
     assert bound == sorted(names)
     assert set(names) <= set(listed)
-    assert {"energy", "model", "numtheory", "search", "transform", "cli"} <= set(listed)
+    assert {"energy", "model", "numtheory", "oracles", "search", "transform", "cli"} <= set(listed)
 
 
 def test_unknown_names_raise_attribute_error():
@@ -131,3 +133,22 @@ def test_unknown_names_raise_attribute_error():
         "module 'icgraph' has no attribute 'check_int'",
     ]
     assert found is False
+
+
+def test_the_package_imports_only_the_standard_library():
+    # numpy and sympy are installed for the tests, so a stray import of
+    # either would pass every other check here.
+    allowed = sys.stdlib_module_names | {"icgraph"}
+    imported = {}
+    for path in sorted((SRC / "icgraph").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one within icgraph
+            for name in names:
+                imported.setdefault(name.partition(".")[0], set()).add(path.name)
+    assert {"argparse", "math", "importlib"} <= set(imported)
+    assert {name: files for name, files in imported.items() if name not in allowed} == {}

@@ -14,15 +14,14 @@ from icgraph import (
     apply_rule,
     divisors,
     factorize,
-    h_equidistant,
     h_value,
     is_prime,
     mobius,
     ramanujan_sum,
-    tableau_reduction_check,
     totient,
 )
 from icgraph.numtheory import _shown, check_prime, primes_up_to
+from icgraph.oracles import h_equidistant, tableau_reduction_check
 
 
 def test_is_prime_agrees_with_sieve_below_1000():

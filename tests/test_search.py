@@ -19,7 +19,6 @@ from icgraph import (
     ResourceLimitError,
     brute_force_emax_general,
     brute_force_emax_prime_power,
-    derivative,
     divisor_set_of,
     divisors,
     emax_closed,
@@ -29,7 +28,6 @@ from icgraph import (
     h_value,
     model,
     search,
-    tableau_reduction_check,
     verify_theorem,
 )
 from icgraph.search import (
@@ -41,6 +39,7 @@ from icgraph.search import (
     _mask_range_chunks,
     _prime_power_halves,
 )
+from icgraph.oracles import derivative, tableau_reduction_check
 
 from helpers import SMALL_PRIMES, exponent_tuples, src_env
 
