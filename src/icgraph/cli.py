@@ -43,7 +43,7 @@ from .model import (
     format_ints,
     parse_ints,
 )
-from .numtheory import ResourceLimitError, factorize, primes_up_to
+from .numtheory import ResourceLimitError, _shown, factorize, primes_up_to
 
 # search and transform (and json, csv) load only in the commands that use
 # them, so a command pays at start-up for its own layers alone.
@@ -157,7 +157,7 @@ def cmd_energy(args):
         exponents = tuple(round(math.log(d, order.p)) for d in ds) if order else None
     method = args.method or ("formula" if order is not None else "spectral")
     if method in ("formula", "both") and order is None:
-        raise UsageError(f"--method {method} needs a prime power order, {n} is not one")
+        raise UsageError(f"--method {method} needs a prime power order, {_shown(n)} is not one")
 
     if exponents is not None:
         lines.append(f"exponent tuple a = {format_ints(exponents)}")

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .model import PrimePowerOrder, check_divisor_set, check_exponent_tuple, delta_inverse
-from .numtheory import ResourceLimitError, check_int, check_prime, divisors, ramanujan_sum
+from .numtheory import ResourceLimitError, _shown, check_int, check_prime, divisors, ramanujan_sum
 
 if TYPE_CHECKING:  # fractions is imported only by the functions that build one
     from fractions import Fraction
@@ -125,7 +125,9 @@ def _class_eigenvalues(n: int, divisor_set: Iterable[int]) -> list[int]:
     """
     ds = check_divisor_set(n, divisor_set)
     if n > SPECTRAL_N_CAP:
-        raise ResourceLimitError(f"n = {n} exceeds the spectral scan cap {SPECTRAL_N_CAP}")
+        raise ResourceLimitError(
+            f"n = {_shown(n)} exceeds the spectral scan cap {SPECTRAL_N_CAP}"
+        )
     return [sum(column) for column in zip(*(_eigenvalue_classes(n, d) for d in ds))]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .numtheory import check_int, check_prime
+from .numtheory import _shown, check_int, check_prime
 
 
 class PrimePowerOrder(NamedTuple("PrimePowerOrder", [("p", int), ("s", int)])):
@@ -132,9 +132,9 @@ def check_divisor_set(n: int, divisors: Iterable[int]) -> tuple[int, ...]:
         raise ValueError("divisor set must be nonempty")
     for d in ds:
         if n % d != 0:
-            raise ValueError(f"{d} does not divide n = {n}")
+            raise ValueError(f"{_shown(d)} does not divide n = {_shown(n)}")
         if d == n:
-            raise ValueError(f"n = {n} itself is not allowed in the divisor set")
+            raise ValueError(f"n = {_shown(n)} itself is not allowed in the divisor set")
     return tuple(ds)
 
 

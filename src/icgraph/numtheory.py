@@ -39,21 +39,24 @@ def check_int(value: int, what: str, minimum: Optional[int] = None) -> None:
         minimum is not None and value < minimum
     ):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{what} must be an int{bound}, got {value!r}")
+        shown = _shown(value) if type(value) is int else repr(value)
+        raise ValueError(f"{what} must be an int{bound}, got {shown}")
 
 
 def check_prime(p: int) -> None:
     """Require p to be an int (checked under the name p) and prime."""
     check_int(p, "p")
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise ValueError(f"p must be prime, got {_shown(p)}")
 
 
 def _shown(n: int) -> str:
-    """n >= 0 in decimal for a message; past 50 digits its first 20 and its length.
+    """n in decimal for a message; past 50 digits its first 20 and its length.
 
     Never calls str on a long n, so the int-to-str digit limit cannot trip.
     """
+    if n < 0:
+        return "-" + _shown(-n)
     if n < 10**50:
         return str(n)
     digits = n.bit_length() * 30102 // 100000  # at most the digit count

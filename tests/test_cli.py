@@ -353,6 +353,13 @@ def test_resource_errors_abbreviate_long_numbers(capsys):
     )
 
 
+def test_usage_errors_abbreviate_long_numbers(capsys):
+    n = str(10**3000)
+    code, out, err = run_cli(capsys, ["energy", "--n", n, "--divisors", "7"])
+    assert (code, out) == (1, "")
+    assert err == f"usage error: 7 does not divide n = {n[:20]}\u2026 (3001 digits)\n"
+
+
 def test_closed_form_mismatch_exits_3(capsys, monkeypatch):
     value, tuples = cli.emax_closed(cli.PrimePowerOrder(2, 3))
     monkeypatch.setattr(cli, "emax_closed", lambda order: (value + 2, tuples))
@@ -391,7 +398,7 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- process level
 
-# s = 18 is the smallest exponent whose enumeration starts a pool at --jobs 2.
+# A brute force near the exponent cap; --jobs 2 must not change its stdout.
 SUBPROCESS_ARGS = [
     "emax",
     "--p", "2",

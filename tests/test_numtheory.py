@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -12,15 +13,19 @@ from icgraph import (
     ResourceLimitError,
     TransformLabel,
     apply_rule,
+    brute_force_emax_general,
+    check_divisor_set,
     divisors,
+    energy_general,
     factorize,
     h_value,
     is_prime,
     mobius,
     ramanujan_sum,
+    spectrum_gcd_graph,
     totient,
 )
-from icgraph.numtheory import _shown, check_prime, primes_up_to
+from icgraph.numtheory import _shown, check_int, check_prime, primes_up_to
 from icgraph.oracles import h_equidistant, tableau_reduction_check
 
 
@@ -87,6 +92,62 @@ def test_long_numbers_are_shown_by_their_first_digits():
     assert str(info.value).startswith(
         "cannot decide primality of 10907481356194159294… (2467 digits) >= "
     )
+
+
+BIG = "10000000000000000000\u2026 (5001 digits)"  # 10**5000
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-str limit"
+)
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: energy_general(10**5000, [1]), ResourceLimitError,
+            f"n = {BIG} exceeds the spectral scan cap 1000000", id="energy-cap",
+        ),
+        pytest.param(
+            lambda: spectrum_gcd_graph(10**5000, [1]), ResourceLimitError,
+            f"n = {BIG} exceeds the spectral scan cap 1000000", id="spectrum-cap",
+        ),
+        pytest.param(
+            lambda: brute_force_emax_general(10**5000), ResourceLimitError,
+            f"n = {BIG} exceeds the enumeration cap 10000", id="enumeration-cap",
+        ),
+        pytest.param(
+            lambda: check_divisor_set(10**5000 + 1, [7]), ValueError,
+            f"7 does not divide n = {BIG}", id="big-n",
+        ),
+        pytest.param(
+            lambda: check_divisor_set(7, [10**5000]), ValueError,
+            f"{BIG} does not divide n = 7", id="big-divisor",
+        ),
+        pytest.param(
+            lambda: check_divisor_set(10**5000, [1, 10**5000]), ValueError,
+            f"n = {BIG} itself is not allowed in the divisor set", id="n-in-set",
+        ),
+        pytest.param(
+            lambda: check_prime(10**5000), ValueError,
+            f"p must be prime, got {BIG}", id="not-prime",
+        ),
+        pytest.param(
+            lambda: check_int(-(10**5000), "n", 1), ValueError,
+            f"n must be an int >= 1, got -{BIG}", id="below-minimum",
+        ),
+    ],
+)
+def test_messages_abbreviate_numbers_past_the_digit_limit(call, error, message):
+    # Under the default int-to-str limit, a message built with str(n)
+    # would itself raise ValueError("Exceeds the limit ...") instead.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(error) as info:
+            call()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(info.value) == message
 
 
 def test_factorize_known_values():

@@ -38,6 +38,7 @@ from icgraph.search import (
     _general_halves,
     _mask_range_chunks,
     _prime_power_halves,
+    _upper_hull,
 )
 from icgraph.oracles import derivative, tableau_reduction_check
 
@@ -58,8 +59,8 @@ def test_prime_power_brute_force_counts_all_subsets():
     assert report.examined == 2**5 - 1
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("s", range(1, PRIME_POWER_EXPONENT_CAP + 1))
 def test_brute_force_agrees_with_closed_form(p, s):
     order = PrimePowerOrder(p, s)
     report = brute_force_emax_prime_power(order)
@@ -128,34 +129,31 @@ def pool_starts(monkeypatch):
 
 
 def test_parallel_chunks_merge_to_the_same_report(pool_starts, monkeypatch):
-    # Both runs are below the pool floor; lower it so they still use a pool.
+    # Below the pool floor; lower it so the general search still uses a pool.
     monkeypatch.setattr(search, "POOL_MIN_WORK", 1)
+    assert brute_force_emax_general(60, jobs=2) == brute_force_emax_general(60)
+    assert pool_starts == [2]
+    # The prime-power search runs in this process at any jobs and floor.
     order = PrimePowerOrder(2, 8)
     assert brute_force_emax_prime_power(order, jobs=3) == brute_force_emax_prime_power(
         order
     )
-    assert brute_force_emax_general(60, jobs=2) == brute_force_emax_general(60)
-    assert pool_starts == [2, 2]
+    assert pool_starts == [2]
 
 
 def test_pools_start_only_from_the_work_floor(pool_starts):
-    # 3^16 and 2^8: 2^s - 1 subsets of width 1; 60 and 72 (12 divisors):
-    # 2^11 - 1 subsets of width 12. All stay in one process.
-    for order in (PrimePowerOrder(3, 16), PrimePowerOrder(2, 8)):
-        report = brute_force_emax_prime_power(order, jobs=2)
-        assert report == brute_force_emax_prime_power(order)
+    # 60 and 72 (12 divisors): 2^11 - 1 subsets of width 12, one process.
     for n in (60, 72):
         assert brute_force_emax_general(n, jobs=2) == brute_force_emax_general(n)
     assert pool_starts == []
     # 120 (16 divisors): (2^15 - 1) * 16 units of work, above the floor.
     assert brute_force_emax_general(120, jobs=2) == brute_force_emax_general(120)
     assert pool_starts == [2]
-    # The smallest s with 2^s - 1 >= POOL_MIN_WORK.
-    order = PrimePowerOrder(2, POOL_MIN_WORK.bit_length())
-    assert brute_force_emax_prime_power(order, jobs=2) == brute_force_emax_prime_power(
-        order
-    )
-    assert pool_starts == [2, 2]
+    # p^s never starts a pool, not even past 2^s - 1 >= POOL_MIN_WORK.
+    for order in (PrimePowerOrder(3, 16), PrimePowerOrder(2, POOL_MIN_WORK.bit_length())):
+        report = brute_force_emax_prime_power(order, jobs=2)
+        assert report == brute_force_emax_prime_power(order)
+    assert pool_starts == [2]
 
 
 def _pool_modules_loaded_after(statement):
@@ -179,6 +177,13 @@ def test_pool_modules_are_not_imported_with_the_package():
 def test_pool_modules_are_not_imported_below_the_work_floor():
     proc = _pool_modules_loaded_after(
         "icgraph.verify_theorem(icgraph.PrimePowerOrder(3, 12), jobs=2)"
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_pool_modules_are_not_imported_by_the_prime_power_search():
+    proc = _pool_modules_loaded_after(
+        "icgraph.brute_force_emax_prime_power(icgraph.PrimePowerOrder(2, 20), jobs=2)"
     )
     assert proc.returncode == 0, proc.stderr.decode()
 
@@ -314,6 +319,49 @@ def test_general_chunks_match_at_half_edges(n):
         assert _chunk(partial(_general_halves, n), items, lo, hi) == _oracle(
             partial(energy_general, n), items, lo, hi
         ), (lo, hi)
+
+
+def test_upper_hull_keeps_collinear_and_end_points():
+    # (1, 1), (2, 2) and (3, 3) lie on the chord from (0, 0) to (4, 4).
+    assert _upper_hull([(x, x) for x in range(5)]) == [0, 1, 2, 3, 4]
+    assert _upper_hull([(5, 7)]) == [0]
+    assert _upper_hull([(0, 3), (1, -9)]) == [0, 1]
+
+
+def test_upper_hull_drops_points_strictly_below_it():
+    points = [(0, 0), (1, 3), (2, 2), (3, 4), (4, 1), (5, 0), (6, -2)]
+    # (2, 2) is below the chord (1, 3)-(3, 4) and (4, 1) below (3, 4)-(5, 0);
+    # (5, 0) is on the chord (3, 4)-(6, -2) and stays.
+    assert _upper_hull(points) == [0, 1, 3, 5, 6]
+    # A later point can drop several: (7, -3) puts (6, -2) and then (5, 0)
+    # strictly below the chords it makes.
+    assert _upper_hull(points + [(7, -3)]) == [0, 1, 3, 7]
+    assert _upper_hull([(0, 0), (1, -1), (2, 0)]) == [0, 2]
+    assert _upper_hull([(0, 0), (1, 1), (2, 1), (3, 1), (4, 0)]) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_hull_rows_and_search_match_a_per_subset_scan(p):
+    for s in range(1, 13):
+        order = PrimePowerOrder(p, s)
+        items, k = tuple(range(s)), s // 2
+        subsets = {mask: tuple(x for x in items if mask >> x & 1) for mask in range(1, 2**s)}
+        energies = {mask: energy_prime_power(order, a) for mask, a in subsets.items()}
+        # Every full row: its best energy and every low half that attains it.
+        row = _prime_power_halves(order, items, k)
+        for h in range(1, 2 ** (s - k)):
+            values = [energies[h << k | l] for l in range(2**k)]
+            top, lows = row(h, 0, 2**k)
+            assert (top, list(lows)) == (
+                max(values), [l for l, v in enumerate(values) if v == max(values)]
+            ), (s, h)
+        best = max(energies.values())
+        report = brute_force_emax_prime_power(order)
+        assert report.emax == best
+        assert report.maximizers == tuple(
+            sorted(divisor_set_of(a, order) for m, a in subsets.items() if energies[m] == best)
+        )
+        assert report.examined == 2**s - 1
 
 
 def test_items_are_validated_once_per_chunk_not_per_subset(monkeypatch):
