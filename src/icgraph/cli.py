@@ -142,7 +142,8 @@ def cmd_energy(args):
     if by_pp:
         if args.p is None or args.s is None or args.exponents is None:
             raise UsageError("--p, --s and --exponents belong together")
-        order = _order(args.p, args.s, len(args.exponents))
+        # the divisors, then n and the energy
+        order = _order(args.p, args.s, len(args.exponents) + 2)
         exponents, n = args.exponents, order.n
         ds, divisors, lines = _instance(n, divisor_set_of(exponents, order))
     else:

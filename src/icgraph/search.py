@@ -7,28 +7,24 @@ covers every subset of a tuple of items by either route: exponents
 0..s-1 by the prime-power pair-sum formula, proper divisors of n by the
 spectral route (Ramanujan-sum class eigenvalues). It writes each mask as
 h << k | l, tabulates the states of all half subsets once, and merges
-the best of each row: one high subset h joined with a run of low ones.
+the best of each row: one high subset h joined with every low one.
 The items are validated once, not per subset, and memory is
 O(2^(len/2)).
 
-On the spectral route a row scores each of its subsets, O(tau(n))
-big-int operations apiece. On the prime-power route a subset's energy is
-affine in its low state once h is fixed, so a full row is maximised by a
-binary search on the upper convex hull of the low states (meet in the
-middle, Horowitz & Sahni 1974; monotone-chain hull, Andrew 1979); only
-rows cut by the ends of the mask range are scored subset by subset. The
-whole p^s search takes about 2^(s/2) s steps and runs in this process.
-The spectral search splits its masks across worker processes only when
-the work (subsets times tau(n), the per-subset state width) reaches
-POOL_MIN_WORK, since below it starting a pool costs more than it saves;
-`jobs` is an upper bound. The pool is imported only when more than one
-worker runs, and the merge is deterministic (ties collected, then
-sorted), so reports are identical for any worker count.
+On the prime-power route a subset's energy is affine in its low state
+once h is fixed, so a row is maximised by a binary search on the upper
+convex hull of the low states (meet in the middle, Horowitz & Sahni
+1974; monotone-chain hull, Andrew 1979): about 2^(s/2) s steps in all.
+On the spectral route a row scores all 2^k low subsets at once: each
+gcd class is one int of 32-bit fields, one field per low subset, so a
+row costs O(tau(n)) big-int operations rather than O(tau(n)) per
+subset. Both searches run in this process, whatever `jobs` says, and
+the ties are sorted, so reports are the same for any job count.
 """
 
 from __future__ import annotations
 
-import os
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
@@ -42,10 +38,6 @@ from .numtheory import ResourceLimitError, _shown, check_int, divisors
 PRIME_POWER_EXPONENT_CAP = 20  # 2^s - 1 divisor sets covered
 ENUMERATION_N_CAP = 10**4
 GENERAL_SUBSET_CAP = 2**20
-# Work (subsets x per-subset state width) from which a second worker pays
-# for its pool start, about 8 ms on 2 cores: at 2^17 units (17-22 ms in
-# one process) one process and a pool of two take about the same time.
-POOL_MIN_WORK = 2**17
 
 
 @dataclass(frozen=True)
@@ -60,29 +52,6 @@ class MaximizerReport:
     def __post_init__(self) -> None:
         if not self.maximizers:
             raise ValueError("a maximizer report needs at least one maximizer")
-
-
-def _mask_range_chunks(total: int, jobs: int, width: int) -> list[tuple[int, int]]:
-    """Split mask range [1, total) into at most `jobs` contiguous chunks.
-
-    Each chunk becomes one worker process, so never more chunks than
-    CPUs, and only one while the work, (total - 1) subsets of `width`
-    units each, is below POOL_MIN_WORK.
-    """
-    if (total - 1) * width < POOL_MIN_WORK:
-        jobs = 1
-    jobs = max(1, min(jobs, total - 1, os.cpu_count() or 1))
-    bounds = [1 + (total - 1) * i // jobs for i in range(jobs + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(jobs) if bounds[i] < bounds[i + 1]]
-
-
-def _scan(values: list[int], l0: int):
-    """The largest of values and, lazily, every index l0 + i that attains it.
-
-    The merge reads the indices only of a row that reaches the best so far.
-    """
-    top = max(values)
-    return top, (l0 + i for i, v in enumerate(values) if v == top)
 
 
 def _upper_hull(points: list[tuple[int, int]]) -> list[int]:
@@ -137,12 +106,9 @@ def _prime_power_halves(order: PrimePowerOrder, items: tuple, k: int):
     dx = [points[b][0] - points[a][0] for a, b in zip(hull, hull[1:])]
     dy = [points[b][1] - points[a][1] for a, b in zip(hull, hull[1:])]
 
-    def row(h, l0, l1):
+    def row(h):
         e, _, qs = high[h]
         m = c * (p - 1) * qs
-        if l1 - l0 < len(low):
-            top, lows = _scan([f - m * ps for f, ps, _ in low[l0:l1]], l0)
-            return e + top, lows
         first = last = bisect_left(range(len(dx)), True, key=lambda j: dy[j] <= m * dx[j])
         while last < len(dx) and dy[last] == m * dx[last]:
             last += 1
@@ -153,67 +119,75 @@ def _prime_power_halves(order: PrimePowerOrder, items: tuple, k: int):
 
 
 def _general_halves(n: int, items: tuple, k: int):
-    """Rows of the spectral energy sum_g count_g |lambda_g|.
+    """Rows of the spectral energy sum_g count_g |lambda_g|, all lows at once.
 
     lambda_g(S) = sum_{d in S} c_{n/d}(g) is linear in S and count_g >= 0,
-    so a state is the vector of count_g lambda_g over the gcd classes of n
-    and a subset's energy is sum_g |high_g + low_g|, scored one by one.
+    so a state is the vector of x_g = count_g lambda_g over the gcd classes
+    of n, and a subset's energy is sum_g |x_g| with x_g = H_g + L_g, its
+    high and low halves. Column g of the low table is packed into one int,
+    P_g = sum_l (L_g(l) + 2^31) << 32 l. A row adds H_g to every field at
+    once, Z = P_g + H_g ONES; the fields with bit 31 clear hold the
+    negative x_g, and masking them gives max(0, -x_g) per field with no
+    carry across fields. As |x| = x + 2 max(0, -x), the row's energies are
+    sum_g H_g + lin + 2 neg, with lin = sum_g L_g packed once, and they are
+    read back as 32-bit words. Every |x_g| and every energy stays below
+    the bound tau(n) * max_g sum_{d in items} |count_g c_{n/d}(g)|, so the
+    fields are exact while it is below 2^31, checked once. Under the
+    enumeration caps it peaks at 1267200 (21 bits, n = 8855 and 9867).
     """
     check_divisor_set(n, items)
     counts = _gcd_class_counts(n)
     units = [tuple(map(mul, counts, _eigenvalue_classes(n, d))) for d in items]
+    bound = len(counts) * max(sum(map(abs, column)) for column in zip(*units))
+    if bound >= 2**31:
+        raise RuntimeError(f"energies of n = {n} reach {bound}, beyond a 31-bit field")
 
-    def table(vectors):
-        states = [(0,) * len(counts)]
-        for u in vectors:
-            states += [tuple(map(add, v, u)) for v in states]
-        return states
+    high = [(0,) * len(counts)]
+    for u in units[k:]:
+        high += [tuple(map(add, v, u)) for v in high]
+    bias, ones = 2**31, 1
+    columns = [bias] * len(counts)
+    for i, u in enumerate(units[:k]):
+        columns = [c | (c + x * ones) << (32 << i) for c, x in zip(columns, u)]
+        ones |= ones << (32 << i)
+    top = bias * ones
+    lin = sum(columns) - len(columns) * top
 
-    low, high = table(units[:k]), table(units[k:])
-
-    def row(h, l0, l1):
-        u = high[h]
-        return _scan([sum(map(abs, map(add, u, v))) for v in low[l0:l1]], l0)
+    def row(h):
+        neg = 0
+        for c, x in zip(columns, high[h]):
+            z = c + x * ones
+            negative = (z & top) ^ top  # 2^31 in each negative field
+            marks = negative >> 31
+            neg += negative - (z & ((marks << 32) - marks))
+        packed = lin + sum(high[h]) * ones + (neg << 1)
+        values = memoryview(packed.to_bytes(4 << k, sys.byteorder)).cast("I")
+        best = max(values)
+        return best, (l for l, v in enumerate(values) if v == best)
 
     return row
 
 
-def _best_subsets(halves: Callable, items: tuple, lo: int, hi: int):
-    """Best energy over the subsets of `items` with masks in [lo, hi), and its ties.
+def _best_subsets(halves: Callable, items: tuple):
+    """Best energy over the nonempty subsets of `items`, and every subset attaining it.
 
     A mask is h << k | l with k = len(items) // 2. halves(items, k)
-    validates the items once and returns row(h, l0, l1): the best energy
-    of high subset h joined with any low subset l0 <= l < l1, and every
-    l that attains it. This only merges rows. Needs 1 <= lo < hi.
+    validates the items once and returns row(h): the best energy of high
+    subset h joined with any low subset, and every l that attains it.
+    This only merges rows. The best starts at 0, the energy of mask 0,
+    the empty set; every nonempty set has positive energy, so mask 0
+    never stays among the ties. Ties come back sorted.
     """
     k = len(items) // 2
     row = halves(items, k)
-    best, ties = -1, []
-    for h in range(lo >> k, ((hi - 1) >> k) + 1):
-        base = h << k
-        top, lows = row(h, max(lo - base, 0), min(hi - base, 1 << k))
+    best, ties = 0, []
+    for h in range(1 << (len(items) - k)):
+        top, lows = row(h)
         if top > best:
             best, ties = top, []
         if top == best:
-            ties += [base + l for l in lows]
-    subsets = [tuple(x for i, x in enumerate(items) if mask >> i & 1) for mask in ties]
-    return best, subsets, hi - lo
-
-
-def _run_chunks(halves: Callable, items: tuple, jobs: int, width: int):
-    chunks = _mask_range_chunks(2 ** len(items), jobs, width)
-    if len(chunks) == 1:
-        results = [_best_subsets(halves, items, *chunks[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_best_subsets, halves, items, lo, hi) for lo, hi in chunks]
-            results = [f.result() for f in futures]
-    best = max(r[0] for r in results)
-    maximizers = sorted({m for r in results if r[0] == best for m in r[1]})
-    examined = sum(r[2] for r in results)
-    return best, maximizers, examined
+            ties += [h << k | l for l in lows]
+    return best, sorted(tuple(x for i, x in enumerate(items) if mask >> i & 1) for mask in ties)
 
 
 def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> MaximizerReport:
@@ -225,28 +199,29 @@ def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> Maxim
     runtime grows about as 2^(s/2) s and memory as 2^(s/2); `examined`
     counts the nonempty divisor sets covered, 2^s - 1. Enforced cap
     s <= 20, where the search takes milliseconds. It runs in this
-    process: `jobs` (an int >= 1) is only an upper bound on workers.
+    process; `jobs` (an int >= 1) is accepted for compatibility.
     """
     check_int(jobs, "jobs", 1)
     if order.s > PRIME_POWER_EXPONENT_CAP:
         raise ResourceLimitError(
             f"s = {order.s} exceeds the enumeration cap {PRIME_POWER_EXPONENT_CAP}"
         )
-    best, maximizers, examined = _run_chunks(
-        partial(_prime_power_halves, order), tuple(range(order.s)), 1, 1
-    )
+    best, maximizers = _best_subsets(partial(_prime_power_halves, order), tuple(range(order.s)))
     # x -> p^x is increasing, so sorted exponent tuples give sorted divisor sets.
     divisor_sets = tuple(divisor_set_of(a, order) for a in maximizers)
-    return MaximizerReport(n=order.n, emax=best, maximizers=divisor_sets, examined=examined)
+    return MaximizerReport(n=order.n, emax=best, maximizers=divisor_sets, examined=2**order.s - 1)
 
 
 def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
     """Maximal energy over all nonempty sets of proper divisors of n, by enumeration.
 
-    Caps: n <= 10^4 and at most 2^20 subsets. A subset costs one sum
-    over the tau(n) gcd classes, so up to `jobs` (an int >= 1) worker
-    processes run only when (2^(tau(n)-1) - 1) tau(n) >= POOL_MIN_WORK,
-    that is from tau(n) = 15.
+    Returns the exact maximum and every attaining set, sorted; `examined`
+    counts the 2^(tau(n)-1) - 1 sets covered. Caps: n <= 10^4 and at most
+    2^20 subsets. Each row (one high half of the divisors with all 2^k low
+    halves) costs O(tau(n)) operations on ints of 2^k 32-bit fields, so
+    the search takes O(2^(tau(n)/2) tau(n)) big-int steps and memory
+    O(2^(tau(n)/2) tau(n)). It runs in this process; `jobs` (an int >= 1)
+    is accepted for compatibility.
     """
     check_int(n, "n", 2)
     check_int(jobs, "jobs", 1)
@@ -260,10 +235,10 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
             f"n = {n} has {len(proper)} proper divisors, "
             f"2^{len(proper)} - 1 subsets exceed the cap {GENERAL_SUBSET_CAP}"
         )
-    best, maximizers, examined = _run_chunks(
-        partial(_general_halves, n), proper, jobs, len(proper) + 1
+    best, maximizers = _best_subsets(partial(_general_halves, n), proper)
+    return MaximizerReport(
+        n=n, emax=best, maximizers=tuple(maximizers), examined=2 ** len(proper) - 1
     )
-    return MaximizerReport(n=n, emax=best, maximizers=tuple(maximizers), examined=examined)
 
 
 def verify_theorem(order: PrimePowerOrder, jobs: int = 1) -> tuple[bool, list[str]]:

@@ -307,12 +307,34 @@ def test_output_cap_refuses_before_any_number_theory(capsys, monkeypatch, argv):
 
 
 def test_output_cap_admits_output_at_the_cap(capsys):
-    # 2500 numbers of bit_length(2^3999) = 4000 bits: exactly OUTPUT_BITS_CAP.
+    # 2498 divisors, n and the energy: 2500 numbers of bit_length(2^3999) =
+    # 4000 bits, exactly OUTPUT_BITS_CAP.
     assert 2500 * 4000 == cli.OUTPUT_BITS_CAP
-    argv = ["energy", "--p", "2", "--s", "3999", "--exponents", EXPONENTS_2500]
+    argv = ["energy", "--p", "2", "--s", "3999", "--exponents", EXPONENTS_2500[:-10]]
+    assert len(argv[-1].split(",")) == 2498
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert "energy (formula)" in out
+    # Two more divisors pass the cap.
+    argv[-1] = EXPONENTS_2500
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "2502 numbers" in err
+
+
+def test_energy_output_cap_counts_n_and_the_energy():
+    # Two divisors of 2^3000000 alone stay under the cap, but n and the
+    # energy are printed too: four numbers of 3000001 bits pass it. Counting
+    # the divisors alone, this ran for about 48 s.
+    proc = subprocess.run(
+        [sys.executable, "-m", "icgraph", "energy", "--p", "2", "--s", "3000000",
+         "--exponents", "0,5"],
+        capture_output=True,
+        env=src_env(),
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert b"4 numbers of up to 3000001 bits exceed the output cap" in proc.stderr
 
 
 def test_output_cap_leaves_invalid_orders_to_their_own_checks(capsys):

@@ -84,9 +84,9 @@ def command_lines(draw):
         values["--s"] = sum(values["--delta"]) + 1  # the sum trace checks
     p, s = values.get("--p", 0), values.get("--s", 0)
     if name == "energy" and p > 1 and s > 0:
-        # energy's output cap counts the divisors alone, and str() of an
-        # int is quadratic in its digits: p^s of 10^6 bits prints in about
-        # 3 s. Keep its numbers below 10^5 bits.
+        # The output cap bounds the bits printed, but str() of an int is
+        # quadratic in its digits: p^s of 10^6 bits prints in about 3 s.
+        # Keep energy's numbers below 10^5 bits.
         assume(s * p.bit_length() <= 10**5)
     argv = [name]
     for flag, value in values.items():

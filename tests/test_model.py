@@ -65,7 +65,7 @@ def test_order_attributes_cannot_be_set():
 
 
 def test_order_survives_a_pickle_round_trip():
-    # search's pool workers receive the order pickled inside a partial.
+    # A checked named tuple must rebuild through its own class.
     o = PrimePowerOrder(1000000007, 20)
     back = pickle.loads(pickle.dumps(o))
     assert back == o and type(back) is PrimePowerOrder and back.n == o.n

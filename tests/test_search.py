@@ -1,12 +1,11 @@
 """Brute-force enumeration, closed-form verification and the reduction identity."""
 
-import concurrent.futures
 import itertools
-import os
 import subprocess
 import sys
 import tracemalloc
 from functools import partial
+from operator import add, mul
 
 import pytest
 from hypothesis import given
@@ -32,11 +31,9 @@ from icgraph import (
 )
 from icgraph.search import (
     ENUMERATION_N_CAP,
-    POOL_MIN_WORK,
     PRIME_POWER_EXPONENT_CAP,
     _best_subsets,
     _general_halves,
-    _mask_range_chunks,
     _prime_power_halves,
     _upper_hull,
 )
@@ -109,53 +106,6 @@ def test_general_brute_force_prime_order():
     assert report.examined == 1
 
 
-@pytest.fixture
-def pool_starts(monkeypatch):
-    """Record the worker count of every process pool started; the pools still run.
-
-    Two CPUs are assumed, so the CPU clamp never decides alone.
-    """
-    starts = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    class CountingPool(real):
-        def __init__(self, *args, **kwargs):
-            starts.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    return starts
-
-
-def test_parallel_chunks_merge_to_the_same_report(pool_starts, monkeypatch):
-    # Below the pool floor; lower it so the general search still uses a pool.
-    monkeypatch.setattr(search, "POOL_MIN_WORK", 1)
-    assert brute_force_emax_general(60, jobs=2) == brute_force_emax_general(60)
-    assert pool_starts == [2]
-    # The prime-power search runs in this process at any jobs and floor.
-    order = PrimePowerOrder(2, 8)
-    assert brute_force_emax_prime_power(order, jobs=3) == brute_force_emax_prime_power(
-        order
-    )
-    assert pool_starts == [2]
-
-
-def test_pools_start_only_from_the_work_floor(pool_starts):
-    # 60 and 72 (12 divisors): 2^11 - 1 subsets of width 12, one process.
-    for n in (60, 72):
-        assert brute_force_emax_general(n, jobs=2) == brute_force_emax_general(n)
-    assert pool_starts == []
-    # 120 (16 divisors): (2^15 - 1) * 16 units of work, above the floor.
-    assert brute_force_emax_general(120, jobs=2) == brute_force_emax_general(120)
-    assert pool_starts == [2]
-    # p^s never starts a pool, not even past 2^s - 1 >= POOL_MIN_WORK.
-    for order in (PrimePowerOrder(3, 16), PrimePowerOrder(2, POOL_MIN_WORK.bit_length())):
-        report = brute_force_emax_prime_power(order, jobs=2)
-        assert report == brute_force_emax_prime_power(order)
-    assert pool_starts == [2]
-
-
 def _pool_modules_loaded_after(statement):
     code = (
         f"import icgraph, sys; {statement}; "
@@ -169,12 +119,11 @@ def _pool_modules_loaded_after(statement):
 
 
 def test_pool_modules_are_not_imported_with_the_package():
-    # Only a run with more than one worker imports the process pool.
     proc = _pool_modules_loaded_after("pass")
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-def test_pool_modules_are_not_imported_below_the_work_floor():
+def test_pool_modules_are_not_imported_by_verify_theorem():
     proc = _pool_modules_loaded_after(
         "icgraph.verify_theorem(icgraph.PrimePowerOrder(3, 12), jobs=2)"
     )
@@ -188,19 +137,10 @@ def test_pool_modules_are_not_imported_by_the_prime_power_search():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-def test_worker_chunks_never_outnumber_the_cpus():
-    # Pure arithmetic: no process is started. Each chunk is one worker.
-    chunks = _mask_range_chunks(2**20, 10**6, 1)
-    assert len(chunks) <= (os.cpu_count() or 1)
-    assert chunks[0][0] == 1 and chunks[-1][1] == 2**20
-    assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
-    # Work (total - 1) * width below POOL_MIN_WORK gives one chunk; from
-    # the floor on, as many as jobs and CPUs allow.
-    workers = min(2, os.cpu_count() or 1)
-    for total, width in ((POOL_MIN_WORK, 1), (2**13, 14), (2**11, 12)):
-        assert _mask_range_chunks(total, 2, width) == [(1, total)]
-    for total, width in ((POOL_MIN_WORK + 1, 1), (2**15, 16), (2**14, 15)):
-        assert len(_mask_range_chunks(total, 2, width)) == workers
+def test_pool_modules_are_not_imported_by_the_general_search():
+    # 2^15 - 1 subsets of 16 gcd classes, once split across two workers.
+    proc = _pool_modules_loaded_after("icgraph.brute_force_emax_general(120, jobs=2)")
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 @pytest.mark.parametrize("jobs", [0, -3, 2.5, True, "2", None])
@@ -235,90 +175,111 @@ def test_report_requires_a_maximizer():
 
 # ---------------------------------------------------------------- split-half enumerator
 
-def _oracle(score, items, lo, hi):
-    """Plain max over itertools.combinations, restricted to the masks in [lo, hi)."""
-    best, ties, examined = -1, [], 0
+def _oracle(score, items):
+    """Plain max over itertools.combinations: the best score and its ties, sorted."""
+    best, ties = -1, []
     for size in range(1, len(items) + 1):
         for combo in itertools.combinations(items, size):
-            if lo <= sum(1 << items.index(x) for x in combo) < hi:
-                examined += 1
-                value = score(combo)
-                if value > best:
-                    best, ties = value, [combo]
-                elif value == best:
-                    ties.append(combo)
-    return best, sorted(ties), examined
+            value = score(combo)
+            if value > best:
+                best, ties = value, [combo]
+            elif value == best:
+                ties.append(combo)
+    return best, sorted(ties)
 
 
-def _chunk(halves, items, lo, hi):
-    best, ties, examined = _best_subsets(halves, items, lo, hi)
-    return best, sorted(ties), examined
-
-
-def _edge_ranges(length):
-    """Whole range, single masks, and ranges that start or end inside a half."""
-    k, top = length // 2, 2**length
-    ranges = [(1, top), (1, 2), (top - 1, top), (top // 2, top // 2 + 1)]
-    if length >= 4:
-        ranges += [((1 << k) - 1, (1 << k) + 1), (3, top - 5), ((1 << k) + 3, 3 << k | 2)]
-    return ranges
-
-
-@st.composite
-def mask_ranges(draw, length):
-    lo = draw(st.integers(1, 2**length - 1))
-    return lo, draw(st.integers(lo + 1, 2**length))
-
-
-@st.composite
-def prime_power_chunks(draw):
-    order = PrimePowerOrder(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 10)))
-    return order, draw(mask_ranges(order.s))
-
-
-@st.composite
-def general_chunks(draw):
-    n = draw(st.integers(2, 400).filter(lambda m: len(divisors(m)) <= 12))
-    return n, draw(mask_ranges(len(divisors(n)) - 1))
-
-
-@given(prime_power_chunks())
-def test_prime_power_chunks_match_a_direct_scan(case):
-    order, (lo, hi) = case
-    items = tuple(range(order.s))
-    assert _chunk(partial(_prime_power_halves, order), items, lo, hi) == _oracle(
-        partial(energy_prime_power, order), items, lo, hi
-    )
-
-
-@given(general_chunks())
-def test_general_chunks_match_a_direct_scan(case):
-    n, (lo, hi) = case
-    items = tuple(divisors(n)[:-1])
-    assert _chunk(partial(_general_halves, n), items, lo, hi) == _oracle(
-        partial(energy_general, n), items, lo, hi
-    )
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("s", [1, 2, 7, 8, 9, 10])
-def test_prime_power_chunks_match_at_half_edges(p, s):
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10))
+def test_prime_power_search_matches_a_direct_scan(p, s):
     order = PrimePowerOrder(p, s)
     items = tuple(range(s))
-    for lo, hi in _edge_ranges(s):
-        assert _chunk(partial(_prime_power_halves, order), items, lo, hi) == _oracle(
-            partial(energy_prime_power, order), items, lo, hi
-        ), (lo, hi)
+    assert _best_subsets(partial(_prime_power_halves, order), items) == _oracle(
+        partial(energy_prime_power, order), items
+    )
 
 
-# 12, 36, 48, 60 and 64 have 5, 8, 9, 11 and 6 proper divisors
-@pytest.mark.parametrize("n", [12, 36, 48, 60, 64])
-def test_general_chunks_match_at_half_edges(n):
+@given(st.integers(2, 400).filter(lambda m: len(divisors(m)) <= 12))
+def test_general_search_matches_a_direct_scan(n):
     items = tuple(divisors(n)[:-1])
-    for lo, hi in _edge_ranges(len(items)):
-        assert _chunk(partial(_general_halves, n), items, lo, hi) == _oracle(
-            partial(energy_general, n), items, lo, hi
-        ), (lo, hi)
+    assert _best_subsets(partial(_general_halves, n), items) == _oracle(
+        partial(energy_general, n), items
+    )
+
+
+# s = 1 leaves the low half empty; odd s splits the items unevenly.
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("s", [1, 2, 7, 8, 9, 10])
+def test_prime_power_search_matches_a_direct_scan_at_split_sizes(p, s):
+    order = PrimePowerOrder(p, s)
+    items = tuple(range(s))
+    assert _best_subsets(partial(_prime_power_halves, order), items) == _oracle(
+        partial(energy_prime_power, order), items
+    )
+
+
+# 7, 4, 12, 36, 48, 60 and 64 have 1, 2, 5, 8, 9, 11 and 6 proper divisors
+@pytest.mark.parametrize("n", [7, 4, 12, 36, 48, 60, 64])
+def test_general_search_matches_a_direct_scan_at_split_sizes(n):
+    items = tuple(divisors(n)[:-1])
+    assert _best_subsets(partial(_general_halves, n), items) == _oracle(
+        partial(energy_general, n), items
+    )
+
+
+# ---------------------------------------------------------------- packed rows
+
+def _general_units(n):
+    """Class counts of n and the count-weighted class eigenvalues of each proper divisor."""
+    counts = energy._gcd_class_counts(n)
+    return counts, [
+        tuple(map(mul, counts, energy._eigenvalue_classes(n, d))) for d in divisors(n)[:-1]
+    ]
+
+
+@pytest.mark.parametrize("n", [12, 60, 64, 120, 7735])
+def test_general_rows_match_the_per_subset_sum(n):
+    counts, units = _general_units(n)
+    k = len(units) // 2
+
+    def table(vectors):
+        states = [(0,) * len(counts)]
+        for u in vectors:
+            states += [tuple(map(add, v, u)) for v in states]
+        return states
+
+    low, high = table(units[:k]), table(units[k:])
+    row = _general_halves(n, tuple(divisors(n)[:-1]), k)
+    for h, u in enumerate(high):
+        values = [sum(map(abs, map(add, u, v))) for v in low]
+        top, lows = row(h)
+        assert (top, list(lows)) == (
+            max(values), [l for l, v in enumerate(values) if v == max(values)]
+        ), h
+
+
+# Sixteen divisors each: 120 has 8 tied maximizers, 210 is squarefree (no
+# Ramanujan sum c_{n/d}(g) is 0), 7735 and 9867 have the widest fields the
+# caps admit (21 bits; 9867 reaches the largest bound, 1267200).
+@pytest.mark.parametrize("n, ties", [(120, 8), (210, 1), (7735, 2), (9867, 2)])
+def test_general_search_at_sixteen_divisors_matches_a_per_subset_scan(n, ties):
+    best, maximizers = _oracle(partial(energy_general, n), tuple(divisors(n)[:-1]))
+    assert len(maximizers) == ties
+    report = brute_force_emax_general(n, jobs=2)
+    assert report == MaximizerReport(n, best, tuple(maximizers), 2**15 - 1)
+
+
+def test_general_fields_are_exact_up_to_the_bound(monkeypatch):
+    # Scaling every class count by f scales every energy by f. The largest
+    # f that keeps the bound under 2^31 still gives exact rows; f + 1 raises.
+    n = 120
+    counts, units = _general_units(n)
+    bound = len(counts) * max(sum(map(abs, column)) for column in zip(*units))
+    f = (2**31 - 1) // bound
+    monkeypatch.setattr(search, "_gcd_class_counts", lambda m: tuple(f * c for c in counts))
+    report = brute_force_emax_general(n)
+    assert report.emax == f * 612 and len(report.maximizers) == 8
+    monkeypatch.setattr(search, "_gcd_class_counts", lambda m: tuple((f + 1) * c for c in counts))
+    with pytest.raises(RuntimeError, match="31-bit field"):
+        brute_force_emax_general(n)
 
 
 def test_upper_hull_keeps_collinear_and_end_points():
@@ -351,7 +312,7 @@ def test_hull_rows_and_search_match_a_per_subset_scan(p):
         row = _prime_power_halves(order, items, k)
         for h in range(1, 2 ** (s - k)):
             values = [energies[h << k | l] for l in range(2**k)]
-            top, lows = row(h, 0, 2**k)
+            top, lows = row(h)
             assert (top, list(lows)) == (
                 max(values), [l for l, v in enumerate(values) if v == max(values)]
             ), (s, h)
@@ -364,7 +325,7 @@ def test_hull_rows_and_search_match_a_per_subset_scan(p):
         assert report.examined == 2**s - 1
 
 
-def test_items_are_validated_once_per_chunk_not_per_subset(monkeypatch):
+def test_items_are_validated_once_per_search_not_per_subset(monkeypatch):
     calls = []
     for name in ("check_exponent_tuple", "check_divisor_set"):
         original = getattr(model, name)
@@ -376,10 +337,10 @@ def test_items_are_validated_once_per_chunk_not_per_subset(monkeypatch):
         for module in (icgraph, model, energy, search):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
-    # 3^10 and 2^10 = 1024 both have 2^10 - 1 subsets, searched as one chunk.
+    # 3^10 and 2^10 = 1024 both have 2^10 - 1 subsets.
     report = brute_force_emax_prime_power(PrimePowerOrder(3, 10))
     assert report.examined == 2**10 - 1
-    # the chunk's items once, then each maximizer once as it becomes a divisor set
+    # the items once, then each maximizer once as it becomes a divisor set
     assert calls == ["check_exponent_tuple"] * (1 + len(report.maximizers))
     calls.clear()
     report = brute_force_emax_general(1024)
