@@ -203,7 +203,7 @@ def cmd_emax(args):
     if args.brute:
         from .search import brute_force_emax_prime_power
 
-        report = brute_force_emax_prime_power(order, jobs=args.jobs)
+        report = brute_force_emax_prime_power(order)
         agreement = report.emax == value and sorted(report.maximizers) == sorted(sets)
         results["brute_emax"] = str(report.emax)
         results["brute_maximizer_divisor_sets"] = [
@@ -321,7 +321,7 @@ def cmd_verify(args):
     for p in primes_up_to(args.pmax):
         for s in range(1, args.smax + 1):
             order = PrimePowerOrder(p, s)
-            ok, problems = verify_theorem(order, jobs=args.jobs)
+            ok, problems = verify_theorem(order)
             value, _ = emax_closed(order)
             cases.append(
                 {"p": str(p), "s": s, "ok": ok, "emax": str(value), "problems": problems}
@@ -368,7 +368,6 @@ OPTIONS = {
     **dict.fromkeys(("--exponents", "--divisors", "--delta"), {"type": _int_list}),
     "--method": {"choices": ("formula", "spectral", "both")},
     "--brute": {"action": "store_true", "help": "cross-check by enumeration"},
-    "--jobs": {"type": int, "default": 1},
 }
 
 
@@ -379,11 +378,11 @@ COMMANDS = {
     "energy": (
         cmd_energy, "energy of one gcd graph", (), (*PP, "--exponents", *INSTANCE, "--method")
     ),
-    "emax": (cmd_emax, "maximal energy over divisor sets of p^s", PP, ("--brute", "--jobs")),
+    "emax": (cmd_emax, "maximal energy over divisor sets of p^s", PP, ("--brute",)),
     "emin": (cmd_emin, "minimal energy over divisor sets of p^s", PP, ()),
     "trace": (cmd_trace, "rewrite a delta vector to the maximum", (*PP, "--delta"), ()),
     "classify": (cmd_classify, "hyper/hypoenergetic classification", INSTANCE, ()),
-    "verify": (cmd_verify, "closed forms vs brute force sweep", ("--pmax", "--smax"), ("--jobs",)),
+    "verify": (cmd_verify, "closed forms vs brute force sweep", ("--pmax", "--smax"), ()),
     "spectrum": (cmd_spectrum, "all eigenvalues of one gcd graph", INSTANCE, ()),
 }
 

@@ -95,15 +95,10 @@ def energy_prime_power(order: PrimePowerOrder, a: Sequence[int]) -> int:
     return _gap_energy(p, s, _gaps(a), s - 1 - (a[-1] - a[0]))
 
 
-@lru_cache(maxsize=4096)
-def _divisor_tuple(n: int) -> tuple[int, ...]:
-    return tuple(divisors(n))
-
-
 @lru_cache(maxsize=64)
 def _gcd_class_counts(n: int) -> tuple[int, ...]:
     """Count, for each divisor g of n (ascending), the k in [0, n) with gcd(k, n) = g."""
-    gs = _divisor_tuple(n)
+    gs = divisors(n)
     index = {g: i for i, g in enumerate(gs)}
     counts = [0] * len(gs)
     for k in range(n):
@@ -115,7 +110,7 @@ def _gcd_class_counts(n: int) -> tuple[int, ...]:
 def _eigenvalue_classes(n: int, d: int) -> tuple[int, ...]:
     """c_{n/d}(g) for each divisor g of n (ascending)."""
     q = n // d
-    return tuple(ramanujan_sum(q, g) for g in _divisor_tuple(n))
+    return tuple(ramanujan_sum(q, g) for g in divisors(n))
 
 
 def _class_eigenvalues(n: int, divisor_set: Iterable[int]) -> list[int]:
@@ -138,7 +133,7 @@ def spectrum_gcd_graph(n: int, divisor_set: Iterable[int]) -> list[int]:
     degree sum_{d in D} phi(n/d), and the whole list sums to 0.
     """
     by_class = _class_eigenvalues(n, divisor_set)
-    index = {g: i for i, g in enumerate(_divisor_tuple(n))}
+    index = {g: i for i, g in enumerate(divisors(n))}
     return [by_class[index[math.gcd(k, n)]] for k in range(n)]
 
 

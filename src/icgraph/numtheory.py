@@ -19,7 +19,6 @@ shape is given explicitly.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterator, Optional
 
 # Sorenson & Webster (2015): the first 13 primes as Miller-Rabin bases
@@ -206,7 +205,6 @@ def ramanujan_sum(q: int, k: int) -> int:
     return mu * (totient(q) // totient(m))
 
 
-@lru_cache(maxsize=None)
 def primes_up_to(limit: int) -> tuple[int, ...]:
     """All primes <= limit, increasing (simple sieve)."""
     if limit < 2:

@@ -246,9 +246,9 @@ def test_outputs_beyond_the_int_str_digit_limit_print_exactly(capsys):
         ["trace", "--p", "2", "--s", "9", "--delta", "2,2"],
         ["nonsense"],
         ["emax", "--p", "2", "--s", "3", "--format", "yaml"],
-        ["emax", "--p", "2", "--s", "4", "--brute", "--jobs", "0"],
-        ["emax", "--p", "2", "--s", "4", "--brute", "--jobs", "-3"],
-        ["verify", "--pmax", "3", "--smax", "2", "--jobs", "0"],
+        # --jobs is no option: every search runs in this process.
+        ["emax", "--p", "2", "--s", "4", "--brute", "--jobs", "2"],
+        ["verify", "--pmax", "3", "--smax", "2", "--jobs", "2"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -413,20 +413,19 @@ def test_oracle_disagreement_exits_3(capsys, monkeypatch):
 def test_verify_failure_exits_3(capsys, monkeypatch):
     ok_problems = (False, ["emax mismatch"])
     # cli imports verify_theorem when verify runs, so the fault goes into search.
-    monkeypatch.setattr(search, "verify_theorem", lambda order, jobs=1: ok_problems)
+    monkeypatch.setattr(search, "verify_theorem", lambda order: ok_problems)
     code, out, _ = run_cli(capsys, ["verify", "--pmax", "2", "--smax", "1"])
     assert code == 3
 
 
 # ---------------------------------------------------------------- process level
 
-# A brute force near the exponent cap; --jobs 2 must not change its stdout.
+# A brute force near the exponent cap.
 SUBPROCESS_ARGS = [
     "emax",
     "--p", "2",
     "--s", "18",
     "--brute",
-    "--jobs", "2",
     "--format", "json",
 ]
 
@@ -439,20 +438,11 @@ def _run_subprocess(extra=()):
     )
 
 
-def test_stdout_is_byte_deterministic_across_runs_and_jobs():
+def test_stdout_is_byte_deterministic_across_runs():
     first = _run_subprocess()
     second = _run_subprocess()
     assert first.returncode == 0
     assert first.stdout == second.stdout
-    # The worker count must not leak into the report.
-    serial_args = ["emax", "--p", "2", "--s", "18", "--brute", "--format", "json"]
-    serial = subprocess.run(
-        [sys.executable, "-m", "icgraph", *serial_args],
-        capture_output=True,
-        timeout=120,
-    )
-    assert serial.returncode == 0
-    assert serial.stdout == first.stdout
 
 
 def test_timing_goes_to_stderr_only():

@@ -63,8 +63,6 @@ def _value(flag):
         return st.none()
     if "choices" in spec:
         return st.sampled_from([*spec["choices"], "neither"])
-    if flag == "--jobs":
-        return st.integers(-1, 4)
     return INTS if spec["type"] is int else LISTS
 
 

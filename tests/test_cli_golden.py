@@ -5,7 +5,9 @@ all exit 0) and in tests/data/cli_golden_extra.json (branches the
 catalog misses: the zero-step trace, s = 1 edges, every --help text and
 the exit-3 discrepancy renders) must give the stored stdout and exit
 code. Both files are only read here; the extra file was captured from
-the CLI before its render path was merged, and is not regenerated.
+the CLI before its render path was merged. Only its emax and verify
+--help entries were captured again, in process with COLUMNS=80, when
+the no-op --jobs option was removed.
 """
 
 import json
@@ -35,7 +37,7 @@ def _emax_plus_two(real):
 PATCHES = {
     "emax_closed": (cli, _emax_plus_two(cli.emax_closed)),
     "energy_prime_power": (cli, lambda order, a: 4),
-    "verify_theorem": (search, lambda order, jobs=1: (False, ["emax mismatch"])),
+    "verify_theorem": (search, lambda order: (False, ["emax mismatch"])),
 }
 
 CASES = [dict(entry, exit=0, system_exit=False, patch=None) for entry in CATALOG]

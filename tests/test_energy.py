@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icgraph import (
@@ -172,6 +172,29 @@ def test_spectrum_structure(nds):
     assert spec[0] == sum(totient(n // d) for d in ds)
     assert max(spec) == spec[0]
     assert energy_general(n, ds) == sum(abs(x) for x in spec)
+
+
+@st.composite
+def _coprime_products(draw):
+    """(p^s, a, n2, D2): gcd(p, n2) = 1, p^s n2 <= 5*10^4, a and D2 nonempty and proper."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    s = draw(st.integers(min_value=1, max_value=5))
+    top = min(77, 5 * 10**4 // p**s)
+    n2 = draw(st.integers(min_value=2, max_value=top).filter(lambda m: m % p))
+    a = tuple(sorted(draw(st.sets(st.integers(min_value=0, max_value=s - 1), min_size=1))))
+    d2 = draw(st.sets(st.sampled_from(divisors(n2)[:-1]), min_size=1))
+    return PrimePowerOrder(p, s), a, n2, tuple(sorted(d2))
+
+
+@settings(max_examples=200)
+@given(_coprime_products())
+def test_energy_is_multiplicative_over_coprime_orders(case):
+    # Ramanujan sums are multiplicative in q and the CRT pairs up the k,
+    # so E(n1 n2, D1 D2) = E(n1, D1) E(n2, D2). The p^s factor comes from
+    # the product formula, which shares no spectral code with the left side.
+    order, a, n2, d2 = case
+    d = sorted(d1 * e for d1 in divisor_set_of(a, order) for e in d2)
+    assert energy_general(order.n * n2, d) == energy_prime_power(order, a) * energy_general(n2, d2)
 
 
 def test_energy_general_known_values():

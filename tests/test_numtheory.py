@@ -241,6 +241,13 @@ def test_primes_up_to_known():
     assert len(primes_up_to(10**4)) == 1229
 
 
+def test_primes_up_to_retains_no_sieve():
+    # Each call sieves afresh: no tuple is kept for a limit once asked for.
+    first, second = primes_up_to(1000), primes_up_to(1000)
+    assert first == second
+    assert first is not second
+
+
 @pytest.mark.parametrize("func", [factorize, mobius, totient, divisors])
 def test_arithmetic_functions_reject_nonpositive(func):
     with pytest.raises(ValueError):
