@@ -13,14 +13,16 @@ step,label,u,v,before,after,r,energy; other commands emit key,value
 rows (spectrum: k,eigenvalue; verify: p,s,ok,emax). Numbers print in
 full, whatever their digit count.
 
-Exit codes: 0 success, 1 usage error, 2 resource cap exceeded,
-3 verification discrepancy.
+Exit codes: 0 success, 1 usage error, 2 resource cap exceeded or
+stdout could not be written, 3 verification discrepancy.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -412,7 +414,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         set_digits(0)
         record, lines, rows = COMMANDS[args.subcommand][0](args)
         record["command"] = args.subcommand
-        _render(record, lines, rows, args.format)
+        try:
+            if sys.stdout is None:  # fd 1 was closed before the interpreter started
+                raise OSError(errno.EBADF, "stdout is closed")
+            _render(record, lines, rows, args.format)
+            sys.stdout.flush()
+        except OSError as exc:  # stdout closed or full
+            # The interpreter flushes stdout again at exit; let that go nowhere.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -34,9 +34,15 @@ from .numtheory import ResourceLimitError, _shown, check_int, check_prime, divis
 if TYPE_CHECKING:  # fractions is imported only by the functions that build one
     from fractions import Fraction
 
-# energy_general / spectrum_gcd_graph refuse larger n; the per-order
-# gcd histogram pass is O(n log n) and meant for desk-scale checking.
+# energy_general, spectrum_gcd_graph and the general brute force refuse
+# larger n; each gcd-class scan is O(n log n), for desk-scale checking.
 SPECTRAL_N_CAP = 10**6
+
+
+def _check_scan_cap(n: int) -> None:
+    """Refuse n > SPECTRAL_N_CAP, before any O(n) work or factorization."""
+    if n > SPECTRAL_N_CAP:
+        raise ResourceLimitError(f"n = {_shown(n)} exceeds the spectral scan cap {SPECTRAL_N_CAP}")
 
 
 def _gaps(a: tuple[int, ...]) -> list[int]:
@@ -107,45 +113,40 @@ def _gcd_class_counts(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _eigenvalue_classes(n: int, d: int) -> tuple[int, ...]:
-    """c_{n/d}(g) for each divisor g of n (ascending)."""
-    q = n // d
-    return tuple(ramanujan_sum(q, g) for g in divisors(n))
+def _class_column(n: int, d: int) -> tuple[int, ...]:
+    """count_g c_{n/d}(g) for each divisor g of n (ascending): d's share of each class."""
+    return tuple(c * ramanujan_sum(n // d, g) for c, g in zip(_gcd_class_counts(n), divisors(n)))
 
 
-def _class_eigenvalues(n: int, divisor_set: Iterable[int]) -> list[int]:
-    """lambda on each gcd class g of n (ascending): sum over d in D of c_{n/d}(g).
-
-    Validates D and the size cap before any O(n) work.
-    """
+def _class_columns(n: int, divisor_set: Iterable[int]) -> list[tuple[int, ...]]:
+    """The cached _class_column of each d in D; checks D, then the cap, before any O(n) work."""
     ds = check_divisor_set(n, divisor_set)
-    if n > SPECTRAL_N_CAP:
-        raise ResourceLimitError(
-            f"n = {_shown(n)} exceeds the spectral scan cap {SPECTRAL_N_CAP}"
-        )
-    return [sum(column) for column in zip(*(_eigenvalue_classes(n, d) for d in ds))]
+    _check_scan_cap(n)
+    return [_class_column(n, d) for d in ds]
 
 
 def spectrum_gcd_graph(n: int, divisor_set: Iterable[int]) -> list[int]:
     """Eigenvalues lambda_0..lambda_{n-1} of the gcd graph on Z/nZ.
 
     lambda_k = sum_{d in D} c_{n/d}(k); all integers. lambda_0 equals the
-    degree sum_{d in D} phi(n/d), and the whole list sums to 0.
+    degree sum_{d in D} phi(n/d), and the whole list sums to 0. Computed
+    directly; it shares no cache with energy_general. Cap: n <= 10^6.
     """
-    by_class = _class_eigenvalues(n, divisor_set)
-    index = {g: i for i, g in enumerate(divisors(n))}
-    return [by_class[index[math.gcd(k, n)]] for k in range(n)]
+    ds = check_divisor_set(n, divisor_set)
+    _check_scan_cap(n)
+    by_class = {g: sum(ramanujan_sum(n // d, g) for d in ds) for g in divisors(n)}
+    return [by_class[math.gcd(k, n)] for k in range(n)]
 
 
 def energy_general(n: int, divisor_set: Iterable[int]) -> int:
     """Energy sum_k |lambda_k| of the gcd graph on Z/nZ, spectral route.
 
-    lambda_k depends on k only through gcd(k, n), so the scan groups k
-    by gcd class (one cached histogram pass per n). Exact integer result,
-    identical to summing |.| over spectrum_gcd_graph. Cap: n <= 10^6.
+    lambda_k depends on k only through gcd(k, n), so the scan groups k by
+    gcd class g, one cached column count_g c_{n/d}(g) per n and d; as
+    count_g >= 0, class g adds |sum_{d in D} count_g c_{n/d}(g)|. Exact integer
+    result, identical to summing |.| over spectrum_gcd_graph. Cap: n <= 10^6.
     """
-    by_class = _class_eigenvalues(n, divisor_set)
-    return sum(count * abs(lam) for count, lam in zip(_gcd_class_counts(n), by_class))
+    return sum(abs(sum(x)) for x in zip(*_class_columns(n, divisor_set)))
 
 
 def emin_closed(order: PrimePowerOrder) -> tuple[int, list[tuple[int, ...]]]:

@@ -5,7 +5,7 @@ independent verifier for the closed-form maximal energies: it never
 touches the closed forms, only the energy formulas. One bitmask search
 covers every subset of a tuple of items by either route: exponents
 0..s-1 by the prime-power pair-sum formula, proper divisors of n by the
-spectral route (Ramanujan-sum class eigenvalues). It writes each mask as
+spectral route (the energy module's gcd-class columns). It writes each mask as
 h << k | l, tabulates the states of all half subsets once, and merges
 the best of each row: one high subset h joined with every low one.
 The items are validated once, not per subset, and memory is
@@ -28,15 +28,14 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from operator import add, mul
+from operator import add
 from typing import Callable
 
-from .energy import _eigenvalue_classes, _gcd_class_counts, emax_closed
-from .model import PrimePowerOrder, check_divisor_set, check_exponent_tuple, divisor_set_of
-from .numtheory import ResourceLimitError, _shown, check_int, divisors
+from .energy import _check_scan_cap, _class_columns, emax_closed
+from .model import PrimePowerOrder, check_exponent_tuple, divisor_set_of
+from .numtheory import ResourceLimitError, check_int, divisors
 
 PRIME_POWER_EXPONENT_CAP = 20  # 2^s - 1 divisor sets covered
-ENUMERATION_N_CAP = 10**4
 GENERAL_SUBSET_CAP = 2**20
 
 
@@ -123,30 +122,32 @@ def _general_halves(n: int, items: tuple, k: int):
 
     lambda_g(S) = sum_{d in S} c_{n/d}(g) is linear in S and count_g >= 0,
     so a state is the vector of x_g = count_g lambda_g over the gcd classes
-    of n, and a subset's energy is sum_g |x_g| with x_g = H_g + L_g, its
-    high and low halves. Column g of the low table is packed into one int,
-    P_g = sum_l (L_g(l) + 2^31) << 32 l. A row adds H_g to every field at
-    once, Z = P_g + H_g ONES; the fields with bit 31 clear hold the
-    negative x_g, and masking them gives max(0, -x_g) per field with no
-    carry across fields. As |x| = x + 2 max(0, -x), the row's energies are
-    sum_g H_g + lin + 2 neg, with lin = sum_g L_g packed once, and they are
-    read back as 32-bit words. Every |x_g| and every energy stays below
-    the bound tau(n) * max_g sum_{d in items} |count_g c_{n/d}(g)|, so the
-    fields are exact while it is below 2^31, checked once. Under the
-    enumeration caps it peaks at 1267200 (21 bits, n = 8855 and 9867).
+    of n (the sum of the _class_columns of S), and a subset's energy is
+    sum_g |x_g| with x_g = H_g + L_g, its high and low halves. Column g of
+    the low table is packed into one int, P_g = sum_l (L_g(l) + 2^31) << 32 l.
+    A row adds H_g to every field at once, Z = P_g + H_g ONES; the fields
+    with bit 31 clear hold the negative x_g, and masking them gives
+    max(0, -x_g) per field with no carry across fields. As
+    |x| = x + 2 max(0, -x), the row's energies are sum_g H_g + lin + 2 neg,
+    with lin = sum_g L_g packed once, and they are read back as 32-bit
+    words. Every |x_g| and every energy stays below the bound
+    tau(n) * max_g sum_{d in items} |count_g c_{n/d}(g)|, so the fields are
+    exact while it is below 2^31, checked once. The check cannot fire
+    under the caps: |count_g c_{n/d}(g)| <= phi(n/g) gcd(n/d, g) <= n, and
+    at most 2^20 subsets leave tau(n) <= 21, so the bound is at most
+    tau(n)(tau(n) - 1) n <= 21 * 20 * 10^6 < 2^31. At
+    n = 817216 = 2^6 113^2 (tau = 21) it is 34016976 (26 bits).
     """
-    check_divisor_set(n, items)
-    counts = _gcd_class_counts(n)
-    units = [tuple(map(mul, counts, _eigenvalue_classes(n, d))) for d in items]
-    bound = len(counts) * max(sum(map(abs, column)) for column in zip(*units))
+    units = _class_columns(n, items)
+    bound = len(units[0]) * max(sum(map(abs, column)) for column in zip(*units))
     if bound >= 2**31:
         raise RuntimeError(f"energies of n = {n} reach {bound}, beyond a 31-bit field")
 
-    high = [(0,) * len(counts)]
+    high = [(0,) * len(units[0])]
     for u in units[k:]:
         high += [tuple(map(add, v, u)) for v in high]
     bias, ones = 2**31, 1
-    columns = [bias] * len(counts)
+    columns = [bias] * len(units[0])
     for i, u in enumerate(units[:k]):
         columns = [c | (c + x * ones) << (32 << i) for c, x in zip(columns, u)]
         ones |= ones << (32 << i)
@@ -216,19 +217,16 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
     """Maximal energy over all nonempty sets of proper divisors of n, by enumeration.
 
     Returns the exact maximum and every attaining set, sorted; `examined`
-    counts the 2^(tau(n)-1) - 1 sets covered. Caps: n <= 10^4 and at most
-    2^20 subsets. Each row (one high half of the divisors with all 2^k low
-    halves) costs O(tau(n)) operations on ints of 2^k 32-bit fields, so
-    the search takes O(2^(tau(n)/2) tau(n)) big-int steps and memory
-    O(2^(tau(n)/2) tau(n)). It runs in this process; `jobs` (an int >= 1)
-    is accepted for compatibility.
+    counts the 2^(tau(n)-1) - 1 sets covered. Caps: n <= 10^6 (checked
+    before n is factored) and 2^20 subsets. Each row (one high half of the
+    divisors with all 2^k low halves) costs O(tau(n)) operations on ints of
+    2^k 32-bit fields, so the search takes O(2^(tau(n)/2) tau(n)) big-int
+    steps and memory O(2^(tau(n)/2) tau(n)). It runs in this process; `jobs`
+    (an int >= 1) is accepted for compatibility.
     """
     check_int(n, "n", 2)
     check_int(jobs, "jobs", 1)
-    if n > ENUMERATION_N_CAP:
-        raise ResourceLimitError(
-            f"n = {_shown(n)} exceeds the enumeration cap {ENUMERATION_N_CAP}"
-        )
+    _check_scan_cap(n)
     proper = tuple(d for d in divisors(n) if d != n)
     if 2 ** len(proper) - 1 > GENERAL_SUBSET_CAP:
         raise ResourceLimitError(

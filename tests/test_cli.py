@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -451,6 +452,41 @@ def test_timing_goes_to_stderr_only():
     assert plain.stdout == timed.stdout
     assert b"elapsed" not in plain.stderr
     assert b"elapsed" in timed.stderr
+
+
+def _unwritable_stdout(kind):
+    """A pipe whose read end is already closed, or /dev/full (skipped where absent).
+
+    "closed-fd" passes the pipe too; the child closes its fd 1 before it starts.
+    """
+    if kind == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        return os.open("/dev/full", os.O_WRONLY)
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("kind", ["closed-pipe", "dev-full", "closed-fd"])
+@pytest.mark.parametrize("argv", [
+    ["emin", "--p", "2", "--s", "5"],
+    ["spectrum", "--n", "200000", "--divisors", "1", "--format", "csv"],
+])
+def test_unwritable_stdout_exits_2(kind, argv):
+    fd = _unwritable_stdout(kind)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "icgraph", *argv],
+            stdout=fd, stderr=subprocess.PIPE, env=src_env(), timeout=60,
+            preexec_fn=(lambda: os.close(1)) if kind == "closed-fd" else None,
+        )
+    finally:
+        os.close(fd)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("output error: ") and err.count("\n") == 1, err
 
 
 def test_console_script_entry_point():

@@ -238,6 +238,18 @@ def test_energy_general_enforces_size_cap(monkeypatch):
         spectrum_gcd_graph(2 * SPECTRAL_N_CAP, (1,))
 
 
+def test_spectrum_touches_no_energy_cache():
+    # The spectrum is the direct reference for energy_general, so it must
+    # not read or fill the class tables that energy_general caches.
+    caches = {name: f for name, f in vars(energy).items() if hasattr(f, "cache_info")}
+    assert caches
+    before = {name: f.cache_info() for name, f in caches.items()}
+    n = 11 * 13 * 17 * 19  # used by no other test
+    spec = spectrum_gcd_graph(n, (1, 11, 221))
+    assert {name: f.cache_info() for name, f in caches.items()} == before
+    assert energy_general(n, (1, 11, 221)) == sum(map(abs, spec))
+
+
 # ---------------------------------------------------------------- extremes
 
 def test_emin_closed_structure():

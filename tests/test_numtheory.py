@@ -113,7 +113,7 @@ BIG = "10000000000000000000\u2026 (5001 digits)"  # 10**5000
         ),
         pytest.param(
             lambda: brute_force_emax_general(10**5000), ResourceLimitError,
-            f"n = {BIG} exceeds the enumeration cap 10000", id="enumeration-cap",
+            f"n = {BIG} exceeds the spectral scan cap 1000000", id="enumeration-cap",
         ),
         pytest.param(
             lambda: check_divisor_set(10**5000 + 1, [7]), ValueError,

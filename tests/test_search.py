@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from functools import partial
-from operator import add, mul
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -26,11 +26,12 @@ from icgraph import (
     energy_prime_power,
     h_value,
     model,
+    ramanujan_sum,
     search,
     verify_theorem,
 )
+from icgraph.energy import SPECTRAL_N_CAP
 from icgraph.search import (
-    ENUMERATION_N_CAP,
     PRIME_POWER_EXPONENT_CAP,
     _best_subsets,
     _general_halves,
@@ -91,7 +92,7 @@ def test_general_brute_force_matches_the_prime_power_route(p):
     # Spectral energies (general n) against the pair-sum formula (p^s),
     # both enumerated by the same subset search.
     s = 1
-    while p**s <= ENUMERATION_N_CAP:
+    while p**s <= SPECTRAL_N_CAP:
         general = brute_force_emax_general(p**s)
         prime_power = brute_force_emax_prime_power(PrimePowerOrder(p, s))
         assert general == prime_power
@@ -161,11 +162,24 @@ def test_prime_power_brute_force_enforces_exponent_cap():
 
 
 def test_general_brute_force_enforces_caps():
+    # SPECTRAL_N_CAP + 1 = 1000003 is a prime: one proper divisor, yet refused.
     with pytest.raises(ResourceLimitError):
-        brute_force_emax_general(ENUMERATION_N_CAP + 1)
+        brute_force_emax_general(SPECTRAL_N_CAP + 1)
     # 2310 = 2*3*5*7*11 has 31 proper divisors: too many subsets.
     with pytest.raises(ResourceLimitError):
         brute_force_emax_general(2310)
+
+
+def test_general_brute_force_refuses_a_large_n_before_factoring_it(monkeypatch):
+    # (10^9+7)(10^9+9) is a semiprime that factorize cannot split; the
+    # spectral scan cap must refuse it before divisors or the class scan run.
+    def fail(*args):
+        raise AssertionError(f"called with {args} before the cap check")
+
+    monkeypatch.setattr(search, "divisors", fail)
+    monkeypatch.setattr(energy, "_gcd_class_counts", fail)
+    with pytest.raises(ResourceLimitError, match="exceeds the spectral scan cap 1000000"):
+        brute_force_emax_general((10**9 + 7) * (10**9 + 9))
 
 
 def test_report_requires_a_maximizer():
@@ -230,8 +244,9 @@ def test_general_search_matches_a_direct_scan_at_split_sizes(n):
 def _general_units(n):
     """Class counts of n and the count-weighted class eigenvalues of each proper divisor."""
     counts = energy._gcd_class_counts(n)
+    gs = divisors(n)
     return counts, [
-        tuple(map(mul, counts, energy._eigenvalue_classes(n, d))) for d in divisors(n)[:-1]
+        tuple(c * ramanujan_sum(n // d, g) for c, g in zip(counts, gs)) for d in gs[:-1]
     ]
 
 
@@ -257,8 +272,8 @@ def test_general_rows_match_the_per_subset_sum(n):
 
 
 # Sixteen divisors each: 120 has 8 tied maximizers, 210 is squarefree (no
-# Ramanujan sum c_{n/d}(g) is 0), 7735 and 9867 have the widest fields the
-# caps admit (21 bits; 9867 reaches the largest bound, 1267200).
+# Ramanujan sum c_{n/d}(g) is 0), 7735 and 9867 fill 21-bit fields (9867's
+# bound is 1267200).
 @pytest.mark.parametrize("n, ties", [(120, 8), (210, 1), (7735, 2), (9867, 2)])
 def test_general_search_at_sixteen_divisors_matches_a_per_subset_scan(n, ties):
     best, maximizers = _oracle(partial(energy_general, n), tuple(divisors(n)[:-1]))
@@ -268,16 +283,21 @@ def test_general_search_at_sixteen_divisors_matches_a_per_subset_scan(n, ties):
 
 
 def test_general_fields_are_exact_up_to_the_bound(monkeypatch):
-    # Scaling every class count by f scales every energy by f. The largest
+    # Scaling every class column by f scales every energy by f. The largest
     # f that keeps the bound under 2^31 still gives exact rows; f + 1 raises.
     n = 120
     counts, units = _general_units(n)
     bound = len(counts) * max(sum(map(abs, column)) for column in zip(*units))
     f = (2**31 - 1) // bound
-    monkeypatch.setattr(search, "_gcd_class_counts", lambda m: tuple(f * c for c in counts))
+    by_d = dict(zip(divisors(n), units))
+
+    def scaled(factor):
+        return lambda m, ds: [tuple(factor * x for x in by_d[d]) for d in ds]
+
+    monkeypatch.setattr(search, "_class_columns", scaled(f))
     report = brute_force_emax_general(n)
     assert report.emax == f * 612 and len(report.maximizers) == 8
-    monkeypatch.setattr(search, "_gcd_class_counts", lambda m: tuple((f + 1) * c for c in counts))
+    monkeypatch.setattr(search, "_class_columns", scaled(f + 1))
     with pytest.raises(RuntimeError, match="31-bit field"):
         brute_force_emax_general(n)
 
