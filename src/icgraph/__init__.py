@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # Each public name and the layer module that defines it. Names and layer
 # submodules resolve on first access (PEP 562), so `import icgraph` loads
 # no layer, and each resolved object is bound here: later lookups are
-# plain attribute reads. The test oracles stay in the `oracles` layer.
+# plain attribute reads.
 _EXPORTS = {
     "PrimePowerOrder": "model",
     "ResourceLimitError": "numtheory",
@@ -56,7 +56,7 @@ _EXPORTS = {
     "totient": "numtheory",
     "verify_theorem": "search",
 }
-_LAYERS = ("cli", "energy", "model", "numtheory", "oracles", "search", "transform")
+_LAYERS = ("cli", "energy", "model", "numtheory", "search", "transform")
 
 __all__ = list(_EXPORTS)
 

@@ -37,14 +37,7 @@ from .energy import (
     koolen_moulton_check,
     spectrum_gcd_graph,
 )
-from .model import (
-    PrimePowerOrder,
-    check_divisor_set,
-    delta_inverse,
-    divisor_set_of,
-    format_ints,
-    parse_ints,
-)
+from .model import PrimePowerOrder, check_divisor_set, delta_inverse, divisor_set_of
 from .numtheory import ResourceLimitError, _shown, factorize, primes_up_to
 
 # search and transform (and json, csv) load only in the commands that use
@@ -127,11 +120,38 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "NO"
 
 
-def _int_list(value: str) -> tuple[int, ...]:
+def format_ints(xs: Sequence[int]) -> str:
+    """Render a tuple/vector/set as (x1,x2,...), the notation the CLI echoes."""
+    return "(" + ",".join(map(str, xs)) + ")"
+
+
+def _quoted(text: str) -> str:
+    """repr(text) for a message; past 50 characters its first 20 and its length."""
+    if len(text) <= 50:
+        return repr(text)
+    return f"{text[:20]!r}\u2026 ({len(text)} characters)"
+
+
+def _int(text: str) -> int:
+    """int(text), as argparse's int type but naming a long text by _quoted."""
     try:
-        return parse_ints(value)
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Parse a comma separated int list, with or without surrounding parens."""
+    t = text.strip()
+    if t.startswith("(") and t.endswith(")"):
+        t = t[1:-1]
+    parts = [piece.strip() for piece in t.split(",") if piece.strip()]
+    if not parts:
+        raise UsageError(f"no integers found in {_quoted(text)}")
+    try:
+        return tuple(int(piece) for piece in parts)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"bad integer list {_quoted(text)}: {exc}") from None
 
 
 def cmd_energy(args):
@@ -366,7 +386,7 @@ def cmd_spectrum(args):
 
 # Every option's argparse settings, shared by the subcommands that take it.
 OPTIONS = {
-    **dict.fromkeys(("--p", "--s", "--n", "--pmax", "--smax"), {"type": int}),
+    **dict.fromkeys(("--p", "--s", "--n", "--pmax", "--smax"), {"type": _int}),
     **dict.fromkeys(("--exponents", "--divisors", "--delta"), {"type": _int_list}),
     "--method": {"choices": ("formula", "spectral", "both")},
     "--brute": {"action": "store_true", "help": "cross-check by enumeration"},

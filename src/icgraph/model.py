@@ -143,21 +143,3 @@ def is_connected(divisors: Iterable[int], order: PrimePowerOrder) -> bool:
     ds = check_divisor_set(order.n, divisors)
     return 1 in ds
 
-
-def format_ints(xs: Sequence[int]) -> str:
-    """Render a tuple/vector/set as (x1,x2,...), the notation the CLI echoes."""
-    return "(" + ",".join(map(str, xs)) + ")"
-
-
-def parse_ints(text: str) -> tuple[int, ...]:
-    """Parse a comma separated int list, with or without surrounding parens."""
-    t = text.strip()
-    if t.startswith("(") and t.endswith(")"):
-        t = t[1:-1]
-    parts = [piece.strip() for piece in t.split(",") if piece.strip()]
-    if not parts:
-        raise ValueError(f"no integers found in {text!r}")
-    try:
-        return tuple(int(piece) for piece in parts)
-    except ValueError as exc:
-        raise ValueError(f"bad integer list {text!r}: {exc}") from None

@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .energy import h_value
-from .model import PrimePowerOrder, admissible_context
-from .numtheory import check_int, check_prime
+from icgraph.energy import h_value
+from icgraph.model import PrimePowerOrder, admissible_context
+from icgraph.numtheory import check_int, check_prime
 
 
 def emax_alternative(order: PrimePowerOrder) -> int:

@@ -30,7 +30,8 @@ from icgraph import (
     reverse_complement,
 )
 from icgraph.numtheory import primes_up_to
-from icgraph.oracles import emax_alternative, h_equidistant, tableau_reduction_check
+
+from paper_identities import emax_alternative, h_equidistant, tableau_reduction_check
 
 Ia, Ib, II, III, IV, V = TransformLabel  # definition order
 

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from icgraph import cli, search
-from icgraph.model import parse_ints
+from icgraph.cli import UsageError, _int_list, format_ints
 
 from helpers import src_env
 
@@ -111,12 +111,12 @@ def test_trace_csv_has_the_fixed_column_order(capsys):
     assert rows[0] == ["step", "label", "u", "v", "before", "after", "r", "energy"]
     body = rows[1:]
     assert [row[0] for row in body] == [str(i + 1) for i in range(len(body))]
-    assert parse_ints(body[0][4]) == (5, 1, 3, 3, 2, 1, 1, 6, 1, 1, 3, 2)
+    assert _int_list(body[0][4]) == (5, 1, 3, 3, 2, 1, 1, 6, 1, 1, 3, 2)
     energies = [int(row[7]) for row in body]
     assert energies == sorted(energies)
     assert energies[-1] == 11572550770
     for row in body:
-        assert int(row[6]) == len(parse_ints(row[5])) + 1
+        assert int(row[6]) == len(_int_list(row[5])) + 1
 
 
 def test_trace_json_chains(capsys):
@@ -381,6 +381,53 @@ def test_usage_errors_abbreviate_long_numbers(capsys):
     code, out, err = run_cli(capsys, ["energy", "--n", n, "--divisors", "7"])
     assert (code, out) == (1, "")
     assert err == f"usage error: 7 does not divide n = {n[:20]}\u2026 (3001 digits)\n"
+
+
+def test_format_and_parse_ints_roundtrip():
+    assert format_ints((5, 1, 3)) == "(5,1,3)"
+    assert _int_list("(5,1,3)") == (5, 1, 3)
+    assert _int_list("5, 1, 3") == (5, 1, 3)
+    assert _int_list("7") == (7,)
+
+
+def test_parse_ints_rejects_garbage():
+    with pytest.raises(UsageError):
+        _int_list("")
+    with pytest.raises(UsageError):
+        _int_list("1,a,3")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["energy", "--p", "2", "--s", "3", "--exponents", "()"], "no integers found in '()'"),
+        (
+            ["energy", "--n", "12", "--divisors", "1,a"],
+            "bad integer list '1,a': invalid literal for int() with base 10: 'a'",
+        ),
+        (
+            ["trace", "--p", "2", "--s", "3", "--delta", "x"],
+            "bad integer list 'x': invalid literal for int() with base 10: 'x'",
+        ),
+        (["energy", "--n", "x", "--divisors", "1"], "argument --n: invalid int value: 'x'"),
+    ],
+)
+def test_unparsable_arguments_name_themselves(capsys, argv, message):
+    assert run_cli(capsys, argv) == (1, "", f"usage error: {message}\n")
+
+
+def test_unparsable_long_arguments_show_their_first_20_characters(capsys):
+    # 4301 digits: one past the int-to-str limit, which argv parsing keeps.
+    sevens = "7" * 4301
+    code, out, err = run_cli(capsys, ["energy", "--n", "12", "--divisors", f"1,{sevens}"])
+    assert (code, out) == (1, "")
+    shown = "'1,777777777777777777'\u2026 (4303 characters)"
+    assert err.startswith(f"usage error: bad integer list {shown}: ")
+    assert len(err) < 250
+    code, out, err = run_cli(capsys, ["energy", "--n", sevens, "--divisors", "1"])
+    assert (code, out) == (1, "")
+    shown = "'77777777777777777777'\u2026 (4301 characters)"
+    assert err == f"usage error: argument --n: invalid int value: {shown}\n"
 
 
 def test_closed_form_mismatch_exits_3(capsys, monkeypatch):

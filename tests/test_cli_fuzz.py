@@ -63,7 +63,7 @@ def _value(flag):
         return st.none()
     if "choices" in spec:
         return st.sampled_from([*spec["choices"], "neither"])
-    return INTS if spec["type"] is int else LISTS
+    return LISTS if spec["type"] is cli._int_list else INTS
 
 
 @st.composite

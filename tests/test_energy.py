@@ -27,9 +27,9 @@ from icgraph import (
 )
 from icgraph import energy
 from icgraph.energy import SPECTRAL_N_CAP
-from icgraph.oracles import emax_alternative, h_equidistant
 
 from helpers import direct_energy, general_instances, order_and_tuple, small_order_and_tuple
+from paper_identities import emax_alternative, h_equidistant
 
 
 # ---------------------------------------------------------------- h

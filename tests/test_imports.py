@@ -75,14 +75,15 @@ def test_import_icgraph_loads_no_layer():
 def test_layers_resolve_without_a_submodule_import():
     code = (
         "import icgraph\n"
-        "counts = icgraph.energy._gcd_class_counts\n"
+        "energy = icgraph.energy.energy_general\n"
         "brute = icgraph.search.brute_force_emax_prime_power\n"
-        "oracle = icgraph.oracles.emax_alternative\n"
-        "print(repr((counts.__module__, brute.__module__, oracle.__module__, counts(12))))\n"
+        "rewrite = icgraph.transform.normalize\n"
+        "found = (energy, brute, rewrite)\n"
+        "print(repr((*(f.__module__ for f in found), energy(12, (1,)))))\n"
     )
-    # #{k mod 12 : gcd(k, 12) = d} for d = 1, 2, 3, 4, 6, 12
-    modules = ("icgraph.energy", "icgraph.search", "icgraph.oracles")
-    assert fresh(code) == (*modules, (4, 2, 2, 2, 1, 1))
+    # ICG(12, {1}) is the unitary Cayley graph: energy 2^omega(12) phi(12) = 16
+    modules = ("icgraph.energy", "icgraph.search", "icgraph.transform")
+    assert fresh(code) == (*modules, 16)
 
 
 def test_a_resolved_name_is_bound_in_the_package():
@@ -112,14 +113,16 @@ def test_star_import_binds_exactly_all():
     assert names[6:] == sorted(names[6:])
     assert bound == sorted(names)
     assert set(names) <= set(listed)
-    assert {"energy", "model", "numtheory", "oracles", "search", "transform", "cli"} <= set(listed)
+    assert {"energy", "model", "numtheory", "search", "transform", "cli"} <= set(listed)
+    # The paper identities are test references, not a layer of the package.
+    assert "oracles" not in listed
 
 
 def test_unknown_names_raise_attribute_error():
     code = (
         "import icgraph\n"
         "out = []\n"
-        "for name in ('no_such_name', '_gcd_class_counts', 'check_int'):\n"
+        "for name in ('no_such_name', '_gcd_class_counts', 'check_int', 'oracles'):\n"
         "    try:\n"
         "        getattr(icgraph, name)\n"
         "    except AttributeError as exc:\n"
@@ -131,6 +134,7 @@ def test_unknown_names_raise_attribute_error():
         "module 'icgraph' has no attribute 'no_such_name'",
         "module 'icgraph' has no attribute '_gcd_class_counts'",
         "module 'icgraph' has no attribute 'check_int'",
+        "module 'icgraph' has no attribute 'oracles'",
     ]
     assert found is False
 

@@ -16,7 +16,7 @@ from icgraph import (
     is_connected,
     reverse_complement,
 )
-from icgraph.model import check_delta, format_ints, parse_ints
+from icgraph.model import check_delta
 
 from helpers import exponent_tuples
 
@@ -196,16 +196,3 @@ def test_is_connected_iff_unit_divisor_present():
     assert is_connected((1, 4), o)
     assert not is_connected((2, 4), o)
 
-
-def test_format_and_parse_ints_roundtrip():
-    assert format_ints((5, 1, 3)) == "(5,1,3)"
-    assert parse_ints("(5,1,3)") == (5, 1, 3)
-    assert parse_ints("5, 1, 3") == (5, 1, 3)
-    assert parse_ints("7") == (7,)
-
-
-def test_parse_ints_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_ints("")
-    with pytest.raises(ValueError):
-        parse_ints("1,a,3")

@@ -26,7 +26,8 @@ from icgraph import (
     totient,
 )
 from icgraph.numtheory import _shown, check_int, check_prime, primes_up_to
-from icgraph.oracles import h_equidistant, tableau_reduction_check
+
+from paper_identities import h_equidistant, tableau_reduction_check
 
 
 def test_is_prime_agrees_with_sieve_below_1000():

@@ -1,6 +1,7 @@
 """Brute-force enumeration, closed-form verification and the reduction identity."""
 
 import itertools
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -26,7 +27,6 @@ from icgraph import (
     energy_prime_power,
     h_value,
     model,
-    ramanujan_sum,
     search,
     verify_theorem,
 )
@@ -38,9 +38,9 @@ from icgraph.search import (
     _prime_power_halves,
     _upper_hull,
 )
-from icgraph.oracles import derivative, tableau_reduction_check
 
 from helpers import SMALL_PRIMES, exponent_tuples, src_env
+from paper_identities import derivative, tableau_reduction_check
 
 
 # ---------------------------------------------------------------- brute force
@@ -242,12 +242,32 @@ def test_general_search_matches_a_direct_scan_at_split_sizes(n):
 # ---------------------------------------------------------------- packed rows
 
 def _general_units(n):
-    """Class counts of n and the count-weighted class eigenvalues of each proper divisor."""
-    counts = energy._gcd_class_counts(n)
-    gs = divisors(n)
+    """Class sizes of n and the size-weighted class eigenvalues of each proper divisor.
+
+    Built from sympy, which shares no code with the spectral kernel: the
+    class of g holds phi(n/g) residues, and with m = q / gcd(q, g),
+    c_q(g) = mu(m) phi(q) / phi(m) (Hoelder's formula).
+    """
+    sympy = pytest.importorskip("sympy")
+
+    def phi(m):
+        return int(sympy.totient(m))
+
+    def ramanujan(q, g):
+        m = q // math.gcd(q, g)
+        return int(sympy.mobius(m)) * phi(q) // phi(m)
+
+    gs = [int(g) for g in sympy.divisors(n)]
+    counts = tuple(phi(n // g) for g in gs)
     return counts, [
-        tuple(c * ramanujan_sum(n // d, g) for c, g in zip(counts, gs)) for d in gs[:-1]
+        tuple(c * ramanujan(n // d, g) for c, g in zip(counts, gs)) for d in gs[:-1]
     ]
+
+
+@pytest.mark.parametrize("n", [12, 60, 64, 120, 7735])
+def test_class_columns_match_hoelders_formula(n):
+    _, units = _general_units(n)
+    assert [energy._class_column(n, d) for d in divisors(n)[:-1]] == units
 
 
 @pytest.mark.parametrize("n", [12, 60, 64, 120, 7735])
