@@ -23,6 +23,7 @@ import argparse
 import errno
 import math
 import os
+import re
 import sys
 import time
 from collections import Counter
@@ -38,7 +39,7 @@ from .energy import (
     spectrum_gcd_graph,
 )
 from .model import PrimePowerOrder, check_divisor_set, delta_inverse, divisor_set_of
-from .numtheory import ResourceLimitError, _shown, factorize, primes_up_to
+from .numtheory import MILLER_RABIN_BOUND, ResourceLimitError, factorize, primes_up_to
 
 # search and transform (and json, csv) load only in the commands that use
 # them, so a command pays at start-up for its own layers alone.
@@ -50,6 +51,7 @@ EXIT_DISCREPANCY = 3
 
 PMAX_CAP = 10**4  # verify sieves p <= pmax before sweeping
 OUTPUT_BITS_CAP = 10**7  # numbers printed x bits of p^s, checked before p is tested
+STR_BLOCK_BITS = 14285  # bits of 10**4300, CPython's default str() digit limit
 
 
 class UsageError(Exception):
@@ -89,19 +91,27 @@ def _flat(value) -> str:
 
 
 def _order(p: int, s: int, entries: int) -> PrimePowerOrder:
-    """PrimePowerOrder(p, s), refused first if `entries` numbers that big pass the output cap.
+    """PrimePowerOrder(p, s), refused first past the output cap or the primality bound.
 
     s * bit_length(p - 1) + 1 bounds the bits of a number up to p**s
-    (exactly at p = 2) without computing p**s or testing p. An
-    out-of-range p or s is left to PrimePowerOrder's checks.
+    (exactly at p = 2) without computing p**s or testing p. str() is
+    quadratic in a number's length, so each of the `entries` numbers is
+    charged bits * ceil(bits / STR_BLOCK_BITS).
+    No p >= MILLER_RABIN_BOUND can be proven prime, so it is refused
+    before any primality test. An out-of-range p or s is left to
+    PrimePowerOrder's checks.
     """
     if p >= 2 and s >= 1:
         bits = s * (p - 1).bit_length() + 1
-        if entries * bits > OUTPUT_BITS_CAP:
+        if entries * bits * -(-bits // STR_BLOCK_BITS) > OUTPUT_BITS_CAP:
             raise ResourceLimitError(
                 f"{entries} numbers of up to {bits} bits exceed the output cap of "
                 f"{OUTPUT_BITS_CAP} bits"
             )
+    if p >= MILLER_RABIN_BOUND:
+        raise ResourceLimitError(
+            f"--p {p} is not below {MILLER_RABIN_BOUND}, the bound of exact primality"
+        )
     return PrimePowerOrder(p, s)
 
 
@@ -125,21 +135,6 @@ def format_ints(xs: Sequence[int]) -> str:
     return "(" + ",".join(map(str, xs)) + ")"
 
 
-def _quoted(text: str) -> str:
-    """repr(text) for a message; past 50 characters its first 20 and its length."""
-    if len(text) <= 50:
-        return repr(text)
-    return f"{text[:20]!r}\u2026 ({len(text)} characters)"
-
-
-def _int(text: str) -> int:
-    """int(text), as argparse's int type but naming a long text by _quoted."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     """Parse a comma separated int list, with or without surrounding parens."""
     t = text.strip()
@@ -147,11 +142,11 @@ def _int_list(text: str) -> tuple[int, ...]:
         t = t[1:-1]
     parts = [piece.strip() for piece in t.split(",") if piece.strip()]
     if not parts:
-        raise UsageError(f"no integers found in {_quoted(text)}")
+        raise UsageError(f"no integers found in {text!r}")
     try:
         return tuple(int(piece) for piece in parts)
     except ValueError as exc:
-        raise UsageError(f"bad integer list {_quoted(text)}: {exc}") from None
+        raise UsageError(f"bad integer list {text!r}: {exc}") from None
 
 
 def cmd_energy(args):
@@ -180,7 +175,7 @@ def cmd_energy(args):
         exponents = tuple(round(math.log(d, order.p)) for d in ds) if order else None
     method = args.method or ("formula" if order is not None else "spectral")
     if method in ("formula", "both") and order is None:
-        raise UsageError(f"--method {method} needs a prime power order, {_shown(n)} is not one")
+        raise UsageError(f"--method {method} needs a prime power order, {n} is not one")
 
     if exponents is not None:
         lines.append(f"exponent tuple a = {format_ints(exponents)}")
@@ -386,7 +381,7 @@ def cmd_spectrum(args):
 
 # Every option's argparse settings, shared by the subcommands that take it.
 OPTIONS = {
-    **dict.fromkeys(("--p", "--s", "--n", "--pmax", "--smax"), {"type": _int}),
+    **dict.fromkeys(("--p", "--s", "--n", "--pmax", "--smax"), {"type": int}),
     **dict.fromkeys(("--exponents", "--divisors", "--delta"), {"type": _int_list}),
     "--method": {"choices": ("formula", "spectral", "both")},
     "--brute": {"action": "store_true", "help": "cross-check by enumeration"},
@@ -423,8 +418,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _brief(message: str, argv: Sequence[str]) -> str:
+    """message with each argv token and digit run of over 50 characters cut to its first 20.
+
+    Quoted tokens go first, as '<first 20>'\u2026 (N characters), then digit
+    runs, as <first 20>\u2026 (N digits), then tokens still shown unquoted.
+    The value of a --flag=value token is a token too.
+    """
+    pieces = {piece for token in argv for piece in (token, token.partition("=")[2])}
+    tokens = sorted((piece for piece in pieces if len(piece) > 50), key=len, reverse=True)
+    for token in tokens:
+        message = message.replace(repr(token), f"{token[:20]!r}\u2026 ({len(token)} characters)")
+    message = re.sub("[0-9]{51,}", lambda m: f"{m[0][:20]}\u2026 ({len(m[0])} digits)", message)
+    for token in tokens:
+        message = message.replace(token, f"{token[:20]}\u2026 ({len(token)} characters)")
+    return message
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
+    argv = sys.argv[1:] if argv is None else list(argv)
     # Outputs may have more digits than str(int) allows by default; lift
     # that limit for the command and its output only, not for argv.
     set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
@@ -447,10 +460,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"output error: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
     except (UsageError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {_brief(str(exc), argv)}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        print(f"resource limit: {_brief(str(exc), argv)}", file=sys.stderr)
         return EXIT_RESOURCE
     finally:
         set_digits(digits)

@@ -2,7 +2,9 @@
 
 import csv
 import io
+import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 
 from icgraph import cli, search
 from icgraph.cli import UsageError, _int_list, format_ints
+from icgraph.numtheory import MILLER_RABIN_BASES, MILLER_RABIN_BOUND
 
 from helpers import src_env
 
@@ -294,6 +297,10 @@ EXPONENTS_2500 = ",".join(map(str, range(2500)))
         # 3162 numbers of 3163 bits, one s past the cap at p = 2
         ["emax", "--p", "2", "--s", "3162"],
         ["energy", "--p", "2", "--s", "4000", "--exponents", EXPONENTS_2500],
+        # 3 numbers of 1000002 and 2000001 bits: under the cap counted bit
+        # for bit, but str() is quadratic and these printed in 5.6 s and 22.5 s
+        ["energy", "--p", "2", "--s", "1000001", "--exponents", "0"],
+        ["energy", "--p", "2", "--s", "2000000", "--exponents", "0"],
     ],
 )
 def test_output_cap_refuses_before_any_number_theory(capsys, monkeypatch, argv):
@@ -321,6 +328,52 @@ def test_output_cap_admits_output_at_the_cap(capsys):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert "2502 numbers" in err
+
+
+def test_output_cap_counts_long_numbers_by_str_blocks(capsys):
+    # Three numbers of b bits cost 3 * b * ceil(b / 14285): 15 blocks admit
+    # b = 214275 = 15 * 14285, one more bit takes 16.
+    assert cli.STR_BLOCK_BITS == (10**4300).bit_length()
+    argv = ["energy", "--p", "2", "--s", "214274", "--exponents", "0", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    record = json.loads(out)
+    assert record["results"]["energy"] == record["inputs"]["n"]  # E(2^s, {1}) = 2^s
+    argv[4] = "214275"
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "3 numbers of up to 214276 bits exceed the output cap" in err
+    # Numbers of two blocks still print.
+    argv = ["energy", "--p", "2", "--s", "20000", "--exponents", "0,19999"]
+    assert run_cli(capsys, argv)[0] == 0
+
+
+# A 4300-digit number with no Miller-Rabin base as a factor: base 2
+# alone took 8.4 s to call it composite.
+UNPROVABLE_P = next(
+    q for q in itertools.count(10**4299 + 1) if math.gcd(q, math.prod(MILLER_RABIN_BASES)) == 1
+)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        MILLER_RABIN_BOUND,
+        10**28 + 1,  # composite: exit 1 before the bound was checked
+        UNPROVABLE_P,
+    ],
+    ids=["bound", "composite", "4300-digits"],
+)
+def test_p_past_the_primality_bound_is_refused_before_any_primality_test(
+    capsys, monkeypatch, p
+):
+    def no_order(p, s):
+        raise AssertionError("PrimePowerOrder built")
+
+    monkeypatch.setattr(cli, "PrimePowerOrder", no_order)
+    code, out, err = run_cli(capsys, ["emin", "--p", str(p), "--s", "2"])
+    assert (code, out) == (2, "")
+    assert err.endswith(f" is not below {MILLER_RABIN_BOUND}, the bound of exact primality\n")
 
 
 def test_energy_output_cap_counts_n_and_the_energy():
@@ -428,6 +481,66 @@ def test_unparsable_long_arguments_show_their_first_20_characters(capsys):
     assert (code, out) == (1, "")
     shown = "'77777777777777777777'\u2026 (4301 characters)"
     assert err == f"usage error: argument --n: invalid int value: {shown}\n"
+
+
+LONG = "7" * 4301  # one past the int-to-str limit that argv parsing keeps
+BIG = str(10**3000)
+BIG_SHOWN = "10000000000000000000\u2026 (3001 digits)"
+LONG_QUOTED = "'77777777777777777777'\u2026 (4301 characters)"
+
+
+@pytest.mark.parametrize(
+    "argv, code, shown",
+    [
+        (
+            ["energy", "--n", "12", "--divisors", "1", LONG],
+            1,
+            "unrecognized arguments: 77777777777777777777\u2026 (4301 digits)",
+        ),
+        (["energy", "--n", "12", "--divisors", "1", "--method", LONG], 1, LONG_QUOTED),
+        ([LONG], 1, f"argument subcommand: invalid choice: {LONG_QUOTED}"),
+        (
+            ["energy", "--n", "12", "--divisors", "1," + "7" * 300 + "x"],
+            1,
+            "bad integer list '1,777777777777777777'\u2026 (303 characters)",
+        ),
+        (["verify", "--pmax", BIG, "--smax", "1"], 2, f"--pmax {BIG_SHOWN} exceeds"),
+        (["verify", "--pmax", "3", "--smax", BIG], 2, f"--smax {BIG_SHOWN} exceeds"),
+        (["verify", "--pmax", "-" + BIG, "--smax", "1"], 1, f"got -{BIG_SHOWN}\n"),
+        (["emax", "--p", "2", "--s", BIG], 2, f"{BIG_SHOWN} numbers of up to {BIG_SHOWN} bits"),
+        (
+            ["trace", "--p", "2", "--s", "5", "--delta", "1," + BIG],
+            1,
+            f"delta vector (1, {BIG_SHOWN}) sums to {BIG_SHOWN}",
+        ),
+        (
+            ["energy", "--p", "2", "--s", "5", "--exponents", "0," + BIG],
+            1,
+            f"largest exponent {BIG_SHOWN} exceeds",
+        ),
+        (
+            ["energy", "--n", "12", "--divisors", "1", "--method=" + "w" * 80],
+            1,
+            "invalid choice: 'wwwwwwwwwwwwwwwwwwww'\u2026 (80 characters) (choose from",
+        ),
+        (
+            ["energy", "--n", "12", "--divisors", "1", "w" * 80],
+            1,
+            "unrecognized arguments: wwwwwwwwwwwwwwwwwwww\u2026 (80 characters)\n",
+        ),
+    ],
+    ids=[
+        "unrecognized", "method", "subcommand", "list", "pmax", "smax", "negative-pmax",
+        "emax-s", "delta", "exponents", "method=word", "unrecognized-word",
+    ],
+)
+def test_every_error_shows_long_arguments_and_numbers_briefly(capsys, argv, code, shown):
+    # Unshortened, the first ten wrote 315 to 6081 bytes of stderr.
+    exit_code, out, err = run_cli(capsys, argv)
+    assert (exit_code, out) == (code, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) <= 200
+    assert shown in err
 
 
 def test_closed_form_mismatch_exits_3(capsys, monkeypatch):

@@ -12,12 +12,18 @@ import json
 import signal
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icgraph import cli
 
 DEADLINE_S = 2.0
+
+# Long values an error message must show briefly: 60 and 3001 digits,
+# 4301 digits (one past the int-to-str limit that argv parsing keeps) and
+# 80 letters.
+LONG_INTS = [10**59 + 1, 10**3000, 7 * (10**4301 - 1) // 9]
+WORD = "w" * 80
 
 # Small primes, divisor-rich n and small lists come first: they are the
 # values most likely to form a valid instance.
@@ -25,12 +31,13 @@ INTS = st.one_of(
     st.sampled_from([2, 3, 5, 7, 11, 13]),
     st.integers(-2, 13),
     st.sampled_from([12, 30, 60, 64]),
-    st.sampled_from([-(10**30), 21, 10**4 + 1, 10**6 + 1, 2**61 - 1, 10**30]),
+    st.sampled_from([-(10**30), 21, 10**4 + 1, 10**6 + 1, 2**61 - 1, 10**30, *LONG_INTS]),
 )
 LISTS = st.one_of(
     st.sets(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=3).map(sorted).map(tuple),
     st.sets(st.integers(0, 12), min_size=1, max_size=4).map(sorted).map(tuple),
     st.lists(INTS, max_size=4).map(tuple),
+    st.just(WORD),
 )
 # A required option is left out one time in ten, an optional one half the time.
 REQUIRED = st.sampled_from([True] * 9 + [False])
@@ -62,8 +69,16 @@ def _value(flag):
     if spec.get("action") == "store_true":
         return st.none()
     if "choices" in spec:
-        return st.sampled_from([*spec["choices"], "neither"])
+        return st.sampled_from([*spec["choices"], "neither", WORD])
     return LISTS if spec["type"] is cli._int_list else INTS
+
+
+def _decimal(value):
+    """value as argv text: an int in decimal, past the 4300-digit limit of str() too."""
+    if not isinstance(value, int) or abs(value) < 10**4000:
+        return str(value)
+    high, low = divmod(abs(value), 10**4000)
+    return "-" * (value < 0) + _decimal(high) + str(low).zfill(4000)
 
 
 @st.composite
@@ -80,18 +95,12 @@ def command_lines(draw):
         values = {flag: values.get(flag) or draw(_value(flag)) for flag in form}
     if isinstance(values.get("--delta"), tuple) and draw(st.booleans()):
         values["--s"] = sum(values["--delta"]) + 1  # the sum trace checks
-    p, s = values.get("--p", 0), values.get("--s", 0)
-    if name == "energy" and p > 1 and s > 0:
-        # The output cap bounds the bits printed, but str() of an int is
-        # quadratic in its digits: p^s of 10^6 bits prints in about 3 s.
-        # Keep energy's numbers below 10^5 bits.
-        assume(s * p.bit_length() <= 10**5)
     argv = [name]
     for flag, value in values.items():
         if isinstance(value, tuple):
-            value = ",".join(map(str, value))
+            value = ",".join(map(_decimal, value))
             value = f"({value})" if draw(st.booleans()) else value
-        argv += [flag] if value is None else [flag, str(value)]
+        argv += [flag] if value is None else [flag, _decimal(value)]
     return [*argv, "--format", draw(st.sampled_from(("table", "json", "csv")))]
 
 
@@ -107,3 +116,6 @@ def test_every_command_line_ends_in_a_documented_code(argv):
     else:
         assert out == ""
         assert err.startswith(("usage error: ", "resource limit: "))
+        # one line, long numbers and arguments shown briefly
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert len(err.encode()) <= 300, err
