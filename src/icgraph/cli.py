@@ -143,10 +143,16 @@ def _int_list(text: str) -> tuple[int, ...]:
     parts = [piece.strip() for piece in t.split(",") if piece.strip()]
     if not parts:
         raise UsageError(f"no integers found in {text!r}")
-    try:
-        return tuple(int(piece) for piece in parts)
-    except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}: {exc}") from None
+    values = []
+    for piece in parts:
+        try:
+            values.append(int(piece))
+        except ValueError as exc:
+            # int() cuts a bad literal to 200 characters; name it whole, for _brief.
+            if str(exc).startswith("invalid literal"):
+                exc = f"invalid literal for int() with base 10: {piece!r}"
+            raise UsageError(f"bad integer list {text!r}: {exc}") from None
+    return tuple(values)
 
 
 def cmd_energy(args):

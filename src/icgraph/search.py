@@ -1,38 +1,39 @@
 """Exhaustive divisor-set search and the closed-form verifier.
 
-Brute-force enumeration over all nonempty divisor sets is the
-independent verifier for the closed-form maximal energies: it never
-touches the closed forms, only the energy formulas. One bitmask search
-covers every subset of a tuple of items by either route: exponents
-0..s-1 by the prime-power pair-sum formula, proper divisors of n by the
-spectral route (the energy module's gcd-class columns). It writes each mask as
-h << k | l, tabulates the states of all half subsets once, and merges
-the best of each row: one high subset h joined with every low one.
-The items are validated once, not per subset, and memory is
-O(2^(len/2)).
+Brute-force search over all nonempty divisor sets is the independent
+verifier for the closed-form maximal energies: it never touches the
+closed forms, only the energy formulas, and it finds the maximum and
+every set attaining it.
 
-On the prime-power route a subset's energy is affine in its low state
-once h is fixed, so a row is maximised by a binary search on the upper
-convex hull of the low states (meet in the middle, Horowitz & Sahni
-1974; monotone-chain hull, Andrew 1979): about 2^(s/2) s steps in all.
-On the spectral route a row scores all 2^k low subsets at once: each
-gcd class is one int of 32-bit fields, one field per low subset, so a
-row costs O(tau(n)) big-int operations rather than O(tau(n)) per
-subset. Both searches run in this process, whatever `jobs` says, and
-the ties are sorted, so reports are the same for any job count.
+On the prime-power route the 2^s subsets of the exponents 0..s-1 are
+points (P, E), P = sum p^x and E the pair-sum energy. Adding an
+exponent maps every point by one affine shear, which keeps a point
+below the upper convex hull (monotone chain, Andrew 1979), so only the
+hull is carried from one exponent to the next: 2s - 1 points for
+s >= 2, O(s^2) hull steps and O(s) memory in all.
+
+On the spectral route a mask over the proper divisors of n is written
+h << k | l, the states of all half subsets are tabulated once, and each
+row (one high subset h joined with every low one) scores all 2^k low
+subsets at once: each gcd class is one int of 8-, 16- or 32-bit fields,
+one field per low subset, the narrowest the energy bound allows, so a
+row costs O(tau(n)) big-int operations rather than O(tau(n)) per subset.
+The items are validated once, not per subset, and memory is
+O(2^(tau(n)/2)). Both searches run in this process, whatever `jobs`
+says, and the ties are sorted, so reports are the same for any job
+count.
 """
 
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from operator import add
 from typing import Callable
 
 from .energy import _check_scan_cap, _class_columns, emax_closed
-from .model import PrimePowerOrder, check_exponent_tuple, divisor_set_of
+from .model import PrimePowerOrder, divisor_set_of
 from .numtheory import ResourceLimitError, check_int, divisors
 
 PRIME_POWER_EXPONENT_CAP = 20  # 2^s - 1 divisor sets covered
@@ -72,49 +73,34 @@ def _upper_hull(points: list[tuple[int, int]]) -> list[int]:
     return hull
 
 
-def _prime_power_halves(order: PrimePowerOrder, items: tuple, k: int):
-    """Rows of the pair-sum energy 2(p-1)(r p^(s-1) - (p-1) T).
+def _prime_power_hull(p: int, s: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Upper hull of the states (P, E, a) of all 2^s subsets a of 0..s-1.
 
-    A state (E, P, Q) holds a subset's energy, sum p^x and sum p^(s-1-x).
-    Adding an exponent y above all those of a subset adds p^(s-1-y) P to
-    its T. Every low exponent is below every high one, so the pairs
-    across the halves add Q_H P_L to T: E = E_H + E_L - m P_L with
-    m = 2(p-1)^2 Q_H. With h fixed that is affine in the low point
-    (P_L, E_L), so a row's best lows lie on the upper hull of those
-    points. P_L has the low mask as its base-p digits, so the points
-    come sorted by P_L. The best hull vertex is the first whose outgoing
-    edge has slope <= m; the vertices after it along edges of slope
-    exactly m tie with it, and no point below the hull does.
+    P = sum_{x in a} p^x, and E is the pair-sum energy
+    2(p-1)(r p^(s-1) - (p-1) T) of a, r = |a| and
+    T = sum_{x < y in a} p^(s-1-(y-x)). Adding an exponent y above all
+    those of a adds p^(s-1-y) P to T, so it maps a state by the affine
+    shear (P, E) -> (P + p^y, E + 2(p-1) p^(s-1) - 2(p-1)^2 p^(s-1-y) P).
+    The exponents are added in increasing order: after y the states are
+    the old ones and their sheared copies, and the copies all have
+    P >= p^y, above every old P, so the points come sorted by P. A shear
+    keeps a point strictly below a chord, and so below the energy at one
+    of the chord's ends, whatever shears follow: a state strictly below
+    the hull has no maximizer among its descendants. Each step therefore
+    keeps only the upper hull of the old hull and its sheared copy, and
+    the final hull holds the maximum and every set attaining it (with
+    collinear points kept, ties stay). The final hull has 2s - 1 points
+    for s >= 2 (checked for p <= 13, s <= 60), so the work is O(s^2)
+    hull steps with O(s) memory.
     """
-    p, s = order.p, order.s
-    check_exponent_tuple(items, s)
     c = 2 * (p - 1)
     gain = c * p ** (s - 1)
-
-    def table(exponents):
-        states = [(0, 0, 0)]
-        for y in exponents:
-            up, down = p**y, p ** (s - 1 - y)
-            cross = c * (p - 1) * down
-            states += [(e + gain - cross * ps, ps + up, qs + down) for e, ps, qs in states]
-        return states
-
-    low, high = table(items[:k]), table(items[k:])
-    points = [(ps, e) for e, ps, _ in low]
-    hull = _upper_hull(points)
-    dx = [points[b][0] - points[a][0] for a, b in zip(hull, hull[1:])]
-    dy = [points[b][1] - points[a][1] for a, b in zip(hull, hull[1:])]
-
-    def row(h):
-        e, _, qs = high[h]
-        m = c * (p - 1) * qs
-        first = last = bisect_left(range(len(dx)), True, key=lambda j: dy[j] <= m * dx[j])
-        while last < len(dx) and dy[last] == m * dx[last]:
-            last += 1
-        f, ps, _ = low[hull[first]]
-        return e + f - m * ps, hull[first : last + 1]
-
-    return row
+    hull = [(0, 0, ())]
+    for y in range(s):
+        up, cross = p**y, c * (p - 1) * p ** (s - 1 - y)
+        points = hull + [(P + up, e + gain - cross * P, a + (y,)) for P, e, a in hull]
+        hull = [points[i] for i in _upper_hull([(P, e) for P, e, _ in points])]
+    return hull
 
 
 def _general_halves(n: int, items: tuple, k: int):
@@ -124,33 +110,36 @@ def _general_halves(n: int, items: tuple, k: int):
     so a state is the vector of x_g = count_g lambda_g over the gcd classes
     of n (the sum of the _class_columns of S), and a subset's energy is
     sum_g |x_g| with x_g = H_g + L_g, its high and low halves. Column g of
-    the low table is packed into one int, P_g = sum_l (L_g(l) + 2^31) << 32 l.
-    A row adds H_g to every field at once, Z = P_g + H_g ONES; the fields
-    with bit 31 clear hold the negative x_g, and masking them gives
-    max(0, -x_g) per field with no carry across fields. As
-    |x| = x + 2 max(0, -x), the row's energies are sum_g H_g + lin + 2 neg,
-    with lin = sum_g L_g packed once, and they are read back as 32-bit
-    words. Every |x_g| and every energy stays below the bound
-    tau(n) * max_g sum_{d in items} |count_g c_{n/d}(g)|, so the fields are
-    exact while it is below 2^31, checked once. The check cannot fire
-    under the caps: |count_g c_{n/d}(g)| <= phi(n/g) gcd(n/d, g) <= n, and
-    at most 2^20 subsets leave tau(n) <= 21, so the bound is at most
-    tau(n)(tau(n) - 1) n <= 21 * 20 * 10^6 < 2^31. At
+    the low table is packed into one int of w-bit fields,
+    P_g = sum_l (L_g(l) + 2^(w-1)) << w l. A row adds H_g to every field
+    at once, Z = P_g + H_g ONES; the fields with bit w-1 clear hold the
+    negative x_g, and masking them gives max(0, -x_g) per field with no
+    carry across fields. As |x| = x + 2 max(0, -x), the row's energies
+    are sum_g H_g + lin + 2 neg, with lin = sum_g L_g packed once, and
+    they are read back as w-bit words. Every |x_g| and every energy stays
+    below the bound tau(n) * max_g sum_{d in items} |count_g c_{n/d}(g)|,
+    so the fields are exact while it is below 2^(w-1): w is the smallest
+    of 8, 16 and 32 that allows, and a bound of 2^31 or more raises. That
+    cannot happen under the caps: |count_g c_{n/d}(g)| <= phi(n/g)
+    gcd(n/d, g) <= n, and at most 2^20 subsets leave tau(n) <= 21, so the
+    bound is at most tau(n)(tau(n) - 1) n <= 21 * 20 * 10^6 < 2^31. At
     n = 817216 = 2^6 113^2 (tau = 21) it is 34016976 (26 bits).
     """
     units = _class_columns(n, items)
     bound = len(units[0]) * max(sum(map(abs, column)) for column in zip(*units))
     if bound >= 2**31:
         raise RuntimeError(f"energies of n = {n} reach {bound}, beyond a 31-bit field")
+    widths = ((8, "B"), (16, "H"), (32, "I"))  # field bits, memoryview format
+    width, word = next((w, f) for w, f in widths if bound < 2 ** (w - 1))
 
     high = [(0,) * len(units[0])]
     for u in units[k:]:
         high += [tuple(map(add, v, u)) for v in high]
-    bias, ones = 2**31, 1
+    bias, ones = 2 ** (width - 1), 1
     columns = [bias] * len(units[0])
     for i, u in enumerate(units[:k]):
-        columns = [c | (c + x * ones) << (32 << i) for c, x in zip(columns, u)]
-        ones |= ones << (32 << i)
+        columns = [c | (c + x * ones) << (width << i) for c, x in zip(columns, u)]
+        ones |= ones << (width << i)
     top = bias * ones
     lin = sum(columns) - len(columns) * top
 
@@ -158,11 +147,11 @@ def _general_halves(n: int, items: tuple, k: int):
         neg = 0
         for c, x in zip(columns, high[h]):
             z = c + x * ones
-            negative = (z & top) ^ top  # 2^31 in each negative field
-            marks = negative >> 31
-            neg += negative - (z & ((marks << 32) - marks))
+            negative = (z & top) ^ top  # 2^(w-1) in each negative field
+            marks = negative >> (width - 1)
+            neg += negative - (z & ((marks << width) - marks))
         packed = lin + sum(high[h]) * ones + (neg << 1)
-        values = memoryview(packed.to_bytes(4 << k, sys.byteorder)).cast("I")
+        values = memoryview(packed.to_bytes(width // 8 << k, sys.byteorder)).cast(word)
         best = max(values)
         return best, (l for l, v in enumerate(values) if v == best)
 
@@ -192,23 +181,25 @@ def _best_subsets(halves: Callable, items: tuple):
 
 
 def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> MaximizerReport:
-    """Maximal energy over all 2^s - 1 nonempty divisor sets of p^s, by enumeration.
+    """Maximal energy over all 2^s - 1 nonempty divisor sets of p^s, exhaustively.
 
-    Returns the exact maximum and every attaining set. Each row (one
-    high half of the exponents with all low halves) is covered through
-    the upper hull of the low states rather than scored set by set, so
-    runtime grows about as 2^(s/2) s and memory as 2^(s/2); `examined`
-    counts the nonempty divisor sets covered, 2^s - 1. Enforced cap
-    s <= 20, where the search takes milliseconds. It runs in this
-    process; `jobs` (an int >= 1) is accepted for compatibility.
+    Returns the exact maximum and every attaining set. No set is scored
+    on its own: the sets are covered through the upper hull of their
+    (sum p^x, energy) points, one exponent at a time, in O(s^2) hull
+    steps and O(s) memory; `examined` counts the nonempty divisor sets
+    covered, 2^s - 1. Enforced cap s <= 20, where the search takes
+    under a millisecond. It runs in this process; `jobs` (an int >= 1)
+    is accepted for compatibility.
     """
     check_int(jobs, "jobs", 1)
     if order.s > PRIME_POWER_EXPONENT_CAP:
         raise ResourceLimitError(
             f"s = {order.s} exceeds the enumeration cap {PRIME_POWER_EXPONENT_CAP}"
         )
-    best, maximizers = _best_subsets(partial(_prime_power_halves, order), tuple(range(order.s)))
+    hull = _prime_power_hull(order.p, order.s)
+    best = max(e for _, e, _ in hull)
     # x -> p^x is increasing, so sorted exponent tuples give sorted divisor sets.
+    maximizers = sorted(a for _, e, a in hull if e == best)
     divisor_sets = tuple(divisor_set_of(a, order) for a in maximizers)
     return MaximizerReport(n=order.n, emax=best, maximizers=divisor_sets, examined=2**order.s - 1)
 
@@ -220,9 +211,10 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
     counts the 2^(tau(n)-1) - 1 sets covered. Caps: n <= 10^6 (checked
     before n is factored) and 2^20 subsets. Each row (one high half of the
     divisors with all 2^k low halves) costs O(tau(n)) operations on ints of
-    2^k 32-bit fields, so the search takes O(2^(tau(n)/2) tau(n)) big-int
-    steps and memory O(2^(tau(n)/2) tau(n)). It runs in this process; `jobs`
-    (an int >= 1) is accepted for compatibility.
+    2^k fields of 8, 16 or 32 bits, so the search takes
+    O(2^(tau(n)/2) tau(n)) big-int steps and memory O(2^(tau(n)/2) tau(n)).
+    It runs in this process; `jobs` (an int >= 1) is accepted for
+    compatibility.
     """
     check_int(n, "n", 2)
     check_int(jobs, "jobs", 1)
@@ -245,9 +237,9 @@ def verify_theorem(order: PrimePowerOrder, jobs: int = 1) -> tuple[bool, list[st
     True iff the enumerated maximum equals emax_closed AND the enumerated
     maximizer sets are exactly the divisor sets of the closed form's
     tuples. Discrepancies are returned as messages, never raised. The
-    enumeration covers all 2^s - 1 divisor sets row by row, each row
-    through the upper hull of its low halves, in this process; `jobs`
-    (an int >= 1) goes to brute_force_emax_prime_power.
+    search covers all 2^s - 1 divisor sets through the upper hull of
+    their (sum p^x, energy) points, in this process; `jobs` (an int >= 1)
+    goes to brute_force_emax_prime_power.
     """
     value, tuples = emax_closed(order)
     expected = sorted(divisor_set_of(t, order) for t in tuples)

@@ -483,6 +483,21 @@ def test_unparsable_long_arguments_show_their_first_20_characters(capsys):
     assert err == f"usage error: argument --n: invalid int value: {shown}\n"
 
 
+def test_a_bad_list_entry_is_shown_with_its_full_length(capsys):
+    # int() cuts its own message to 200 characters, which read "(199 digits)".
+    code, out, err = run_cli(
+        capsys, ["energy", "--n", "12", "--divisors", "1," + "7" * 300 + "x"]
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "usage error: bad integer list '1,777777777777777777'\u2026 (303 characters): "
+        "invalid literal for int() with base 10: '77777777777777777777\u2026 (300 digits)x'\n"
+    )
+    # A valid literal past the int-to-str limit keeps int()'s own reason.
+    _, _, err = run_cli(capsys, ["energy", "--n", "12", "--divisors", "1," + "7" * 4301])
+    assert "invalid literal" not in err and "Exceeds the limit (4300 digits)" in err
+
+
 LONG = "7" * 4301  # one past the int-to-str limit that argv parsing keeps
 BIG = str(10**3000)
 BIG_SHOWN = "10000000000000000000\u2026 (3001 digits)"

@@ -35,7 +35,7 @@ from icgraph.search import (
     PRIME_POWER_EXPONENT_CAP,
     _best_subsets,
     _general_halves,
-    _prime_power_halves,
+    _prime_power_hull,
     _upper_hull,
 )
 
@@ -89,8 +89,8 @@ def test_general_brute_force_matches_direct_scan():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_general_brute_force_matches_the_prime_power_route(p):
-    # Spectral energies (general n) against the pair-sum formula (p^s),
-    # both enumerated by the same subset search.
+    # Spectral energies on packed rows (general n) against pair-sum
+    # energies on the upper hull (p^s): two searches that share no code.
     s = 1
     while p**s <= SPECTRAL_N_CAP:
         general = brute_force_emax_general(p**s)
@@ -187,7 +187,7 @@ def test_report_requires_a_maximizer():
         MaximizerReport(n=4, emax=6, maximizers=(), examined=3)
 
 
-# ---------------------------------------------------------------- split-half enumerator
+# ---------------------------------------------------------------- searches against a direct scan
 
 def _oracle(score, items):
     """Plain max over itertools.combinations: the best score and its ties, sorted."""
@@ -202,12 +202,18 @@ def _oracle(score, items):
     return best, sorted(ties)
 
 
+def _hull_maxima(p, s):
+    """The best energy on the final hull of p^s and every exponent tuple attaining it."""
+    hull = _prime_power_hull(p, s)
+    assert len(hull) <= max(2, 2 * s - 1)
+    best = max(e for _, e, _ in hull)
+    return best, sorted(a for _, e, a in hull if e == best)
+
+
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10))
 def test_prime_power_search_matches_a_direct_scan(p, s):
-    order = PrimePowerOrder(p, s)
-    items = tuple(range(s))
-    assert _best_subsets(partial(_prime_power_halves, order), items) == _oracle(
-        partial(energy_prime_power, order), items
+    assert _hull_maxima(p, s) == _oracle(
+        partial(energy_prime_power, PrimePowerOrder(p, s)), tuple(range(s))
     )
 
 
@@ -216,17 +222,6 @@ def test_general_search_matches_a_direct_scan(n):
     items = tuple(divisors(n)[:-1])
     assert _best_subsets(partial(_general_halves, n), items) == _oracle(
         partial(energy_general, n), items
-    )
-
-
-# s = 1 leaves the low half empty; odd s splits the items unevenly.
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("s", [1, 2, 7, 8, 9, 10])
-def test_prime_power_search_matches_a_direct_scan_at_split_sizes(p, s):
-    order = PrimePowerOrder(p, s)
-    items = tuple(range(s))
-    assert _best_subsets(partial(_prime_power_halves, order), items) == _oracle(
-        partial(energy_prime_power, order), items
     )
 
 
@@ -270,13 +265,12 @@ def test_class_columns_match_hoelders_formula(n):
     assert [energy._class_column(n, d) for d in divisors(n)[:-1]] == units
 
 
-@pytest.mark.parametrize("n", [12, 60, 64, 120, 7735])
-def test_general_rows_match_the_per_subset_sum(n):
-    counts, units = _general_units(n)
+def _assert_rows_match_the_per_subset_sum(n, units):
+    """Every row of _general_halves against sum_g |x_g| over each low subset."""
     k = len(units) // 2
 
     def table(vectors):
-        states = [(0,) * len(counts)]
+        states = [(0,) * len(units[0])]
         for u in vectors:
             states += [tuple(map(add, v, u)) for v in states]
         return states
@@ -289,6 +283,11 @@ def test_general_rows_match_the_per_subset_sum(n):
         assert (top, list(lows)) == (
             max(values), [l for l, v in enumerate(values) if v == max(values)]
         ), h
+
+
+@pytest.mark.parametrize("n", [12, 60, 64, 120, 7735])
+def test_general_rows_match_the_per_subset_sum(n):
+    _assert_rows_match_the_per_subset_sum(n, _general_units(n)[1])
 
 
 # Sixteen divisors each: 120 has 8 tied maximizers, 210 is squarefree (no
@@ -322,6 +321,38 @@ def test_general_fields_are_exact_up_to_the_bound(monkeypatch):
         brute_force_emax_general(n)
 
 
+@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("bits, word, wider", [(7, "B", "H"), (15, "H", "I")])
+def test_general_fields_are_the_narrowest_the_bound_allows(monkeypatch, n, bits, word, wider):
+    # Scaling every class column by f scales the bound by f: the largest f
+    # that keeps it under 2^bits reads the rows back as `word` fields, and
+    # f + 1 (a bound at or past 2^bits) as the next wider ones.
+    counts, units = _general_units(n)
+    bound = len(counts) * max(sum(map(abs, column)) for column in zip(*units))
+    f = (2**bits - 1) // bound
+    by_d = dict(zip(divisors(n), units))
+    words = []
+
+    class Spy:
+        def __init__(self, data):
+            self.view = memoryview(data)
+
+        def cast(self, fmt):
+            words.append(fmt)
+            return self.view.cast(fmt)
+
+    monkeypatch.setattr(search, "memoryview", Spy, raising=False)
+    for factor, expected in ((f, word), (f + 1, wider)):
+        assert (factor * bound < 2**bits) == (expected == word)
+        scaled = {d: tuple(factor * x for x in u) for d, u in by_d.items()}
+        monkeypatch.setattr(search, "_class_columns", lambda m, ds: [scaled[d] for d in ds])
+        words.clear()
+        _assert_rows_match_the_per_subset_sum(n, list(scaled.values()))
+        assert set(words) == {expected}
+
+
+# ---------------------------------------------------------------- upper hull
+
 def test_upper_hull_keeps_collinear_and_end_points():
     # (1, 1), (2, 2) and (3, 3) lie on the chord from (0, 0) to (4, 4).
     assert _upper_hull([(x, x) for x in range(5)]) == [0, 1, 2, 3, 4]
@@ -342,27 +373,24 @@ def test_upper_hull_drops_points_strictly_below_it():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_hull_rows_and_search_match_a_per_subset_scan(p):
-    for s in range(1, 13):
-        order = PrimePowerOrder(p, s)
-        items, k = tuple(range(s)), s // 2
-        subsets = {mask: tuple(x for x in items if mask >> x & 1) for mask in range(1, 2**s)}
-        energies = {mask: energy_prime_power(order, a) for mask, a in subsets.items()}
-        # Every full row: its best energy and every low half that attains it.
-        row = _prime_power_halves(order, items, k)
-        for h in range(1, 2 ** (s - k)):
-            values = [energies[h << k | l] for l in range(2**k)]
-            top, lows = row(h)
-            assert (top, list(lows)) == (
-                max(values), [l for l, v in enumerate(values) if v == max(values)]
-            ), (s, h)
-        best = max(energies.values())
-        report = brute_force_emax_prime_power(order)
-        assert report.emax == best
-        assert report.maximizers == tuple(
-            sorted(divisor_set_of(a, order) for m, a in subsets.items() if energies[m] == best)
-        )
-        assert report.examined == 2**s - 1
+@pytest.mark.parametrize("s", range(1, 13))
+def test_hull_search_matches_a_per_subset_scan(p, s):
+    order = PrimePowerOrder(p, s)
+    best, ties = _oracle(partial(energy_prime_power, order), tuple(range(s)))
+    assert _hull_maxima(p, s) == (best, ties)
+    report = brute_force_emax_prime_power(order)
+    assert report == MaximizerReport(
+        order.n, best, tuple(divisor_set_of(a, order) for a in ties), 2**s - 1
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_hull_past_the_exponent_cap_matches_the_closed_form(p):
+    # emax_closed builds its maximizers from the paper's theorem and shares
+    # no code with the hull.
+    for s in range(PRIME_POWER_EXPONENT_CAP + 1, 61):
+        value, tuples = emax_closed(PrimePowerOrder(p, s))
+        assert _hull_maxima(p, s) == (value, sorted(tuples)), s
 
 
 def test_items_are_validated_once_per_search_not_per_subset(monkeypatch):
@@ -380,8 +408,9 @@ def test_items_are_validated_once_per_search_not_per_subset(monkeypatch):
     # 3^10 and 2^10 = 1024 both have 2^10 - 1 subsets.
     report = brute_force_emax_prime_power(PrimePowerOrder(3, 10))
     assert report.examined == 2**10 - 1
-    # the items once, then each maximizer once as it becomes a divisor set
-    assert calls == ["check_exponent_tuple"] * (1 + len(report.maximizers))
+    # The hull builds its own exponent tuples; each maximizer is checked
+    # once, as it becomes a divisor set.
+    assert calls == ["check_exponent_tuple"] * len(report.maximizers)
     calls.clear()
     report = brute_force_emax_general(1024)
     assert report.examined == 2**10 - 1
@@ -398,16 +427,19 @@ def test_prime_power_brute_force_at_the_exponent_cap():
     assert brute_force_emax_prime_power(order, jobs=2) == report
 
 
-def test_enumeration_memory_grows_with_half_the_exponent():
-    # The half tables hold 2 * 2^9 states at s = 18; a table over all
-    # 2^18 subsets would take tens of megabytes.
+@pytest.mark.parametrize("p", [2, 7])
+def test_search_memory_stays_flat_in_the_exponent(p):
+    # The hull holds 2s - 1 = 39 states at s = 20; the half tables of a
+    # meet-in-the-middle search took 230-295 KiB there.
+    order = PrimePowerOrder(p, 20)
+    brute_force_emax_prime_power(order)  # warm-up: lazy imports and caches
     tracemalloc.start()
     try:
-        brute_force_emax_prime_power(PrimePowerOrder(3, 18))
+        brute_force_emax_prime_power(order)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert peak < 64 * 2**10
 
 
 # ---------------------------------------------------------------- theorem verification
