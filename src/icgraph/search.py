@@ -10,13 +10,13 @@ points (P, E), P = sum p^x and E the pair-sum energy. Adding an
 exponent maps every point by one affine shear, which keeps a point
 below the upper convex hull (monotone chain, Andrew 1979), so only the
 hull is carried from one exponent to the next: 2s - 1 points for
-s >= 2, O(s^2) hull steps and O(s) memory in all.
+s >= 2, O(s^2) hull steps and O(s) points (P, E) held in all.
 
 On the spectral route a mask over the proper divisors of n is written
 h << k | l, the states of all half subsets are tabulated once, and each
 row (one high subset h joined with every low one) scores all 2^k low
-subsets at once: each gcd class is one int of 8-, 16- or 32-bit fields,
-one field per low subset, the narrowest the energy bound allows, so a
+subsets at once: each gcd class is one int of 16- or 32-bit fields,
+one field per low subset, the narrower one the energy bound allows, so a
 row costs O(tau(n)) big-int operations rather than O(tau(n)) per subset.
 The items are validated once, not per subset, and memory is
 O(2^(tau(n)/2)). Both searches run in this process, whatever `jobs`
@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import partial
 from operator import add
-from typing import Callable
 
 from .energy import _check_scan_cap, _class_columns, emax_closed
 from .model import PrimePowerOrder, divisor_set_of
@@ -73,14 +71,14 @@ def _upper_hull(points: list[tuple[int, int]]) -> list[int]:
     return hull
 
 
-def _prime_power_hull(p: int, s: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Upper hull of the states (P, E, a) of all 2^s subsets a of 0..s-1.
+def _prime_power_hull(p: int, s: int) -> list[tuple[int, int]]:
+    """Upper hull of the states (P, E) of all 2^s subsets a of 0..s-1.
 
-    P = sum_{x in a} p^x, and E is the pair-sum energy
-    2(p-1)(r p^(s-1) - (p-1) T) of a, r = |a| and
-    T = sum_{x < y in a} p^(s-1-(y-x)). Adding an exponent y above all
-    those of a adds p^(s-1-y) P to T, so it maps a state by the affine
-    shear (P, E) -> (P + p^y, E + 2(p-1) p^(s-1) - 2(p-1)^2 p^(s-1-y) P).
+    P = sum_{x in a} p^x, so a is the set of nonzero base-p digits of P,
+    and E is the pair-sum energy 2(p-1)(r p^(s-1) - (p-1) T) of a,
+    r = |a| and T = sum_{x < y in a} p^(s-1-(y-x)). Adding an exponent y
+    above all those of a adds p^(s-1-y) P to T, so it maps a state by the
+    affine shear (P, E) -> (P + p^y, E + 2(p-1) p^(s-1) - 2(p-1)^2 p^(s-1-y) P).
     The exponents are added in increasing order: after y the states are
     the old ones and their sheared copies, and the copies all have
     P >= p^y, above every old P, so the points come sorted by P. A shear
@@ -91,15 +89,15 @@ def _prime_power_hull(p: int, s: int) -> list[tuple[int, int, tuple[int, ...]]]:
     the final hull holds the maximum and every set attaining it (with
     collinear points kept, ties stay). The final hull has 2s - 1 points
     for s >= 2 (checked for p <= 13, s <= 60), so the work is O(s^2)
-    hull steps with O(s) memory.
+    hull steps with O(s) points held.
     """
     c = 2 * (p - 1)
     gain = c * p ** (s - 1)
-    hull = [(0, 0, ())]
+    hull = [(0, 0)]
     for y in range(s):
         up, cross = p**y, c * (p - 1) * p ** (s - 1 - y)
-        points = hull + [(P + up, e + gain - cross * P, a + (y,)) for P, e, a in hull]
-        hull = [points[i] for i in _upper_hull([(P, e) for P, e, _ in points])]
+        points = hull + [(P + up, e + gain - cross * P) for P, e in hull]
+        hull = [points[i] for i in _upper_hull(points)]
     return hull
 
 
@@ -118,8 +116,8 @@ def _general_halves(n: int, items: tuple, k: int):
     are sum_g H_g + lin + 2 neg, with lin = sum_g L_g packed once, and
     they are read back as w-bit words. Every |x_g| and every energy stays
     below the bound tau(n) * max_g sum_{d in items} |count_g c_{n/d}(g)|,
-    so the fields are exact while it is below 2^(w-1): w is the smallest
-    of 8, 16 and 32 that allows, and a bound of 2^31 or more raises. That
+    so the fields are exact while it is below 2^(w-1): w is 16 if that
+    allows, else 32, and a bound of 2^31 or more raises. That
     cannot happen under the caps: |count_g c_{n/d}(g)| <= phi(n/g)
     gcd(n/d, g) <= n, and at most 2^20 subsets leave tau(n) <= 21, so the
     bound is at most tau(n)(tau(n) - 1) n <= 21 * 20 * 10^6 < 2^31. At
@@ -129,7 +127,7 @@ def _general_halves(n: int, items: tuple, k: int):
     bound = len(units[0]) * max(sum(map(abs, column)) for column in zip(*units))
     if bound >= 2**31:
         raise RuntimeError(f"energies of n = {n} reach {bound}, beyond a 31-bit field")
-    widths = ((8, "B"), (16, "H"), (32, "I"))  # field bits, memoryview format
+    widths = ((16, "H"), (32, "I"))  # field bits, memoryview format
     width, word = next((w, f) for w, f in widths if bound < 2 ** (w - 1))
 
     high = [(0,) * len(units[0])]
@@ -158,10 +156,10 @@ def _general_halves(n: int, items: tuple, k: int):
     return row
 
 
-def _best_subsets(halves: Callable, items: tuple):
-    """Best energy over the nonempty subsets of `items`, and every subset attaining it.
+def _best_subsets(n: int, items: tuple):
+    """Best energy over the nonempty sets of divisors `items` of n, and all sets attaining it.
 
-    A mask is h << k | l with k = len(items) // 2. halves(items, k)
+    A mask is h << k | l with k = len(items) // 2. _general_halves(n, items, k)
     validates the items once and returns row(h): the best energy of high
     subset h joined with any low subset, and every l that attains it.
     This only merges rows. The best starts at 0, the energy of mask 0,
@@ -169,7 +167,7 @@ def _best_subsets(halves: Callable, items: tuple):
     never stays among the ties. Ties come back sorted.
     """
     k = len(items) // 2
-    row = halves(items, k)
+    row = _general_halves(n, items, k)
     best, ties = 0, []
     for h in range(1 << (len(items) - k)):
         top, lows = row(h)
@@ -186,7 +184,7 @@ def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> Maxim
     Returns the exact maximum and every attaining set. No set is scored
     on its own: the sets are covered through the upper hull of their
     (sum p^x, energy) points, one exponent at a time, in O(s^2) hull
-    steps and O(s) memory; `examined` counts the nonempty divisor sets
+    steps holding O(s) points; `examined` counts the nonempty divisor sets
     covered, 2^s - 1. Enforced cap s <= 20, where the search takes
     under a millisecond. It runs in this process; `jobs` (an int >= 1)
     is accepted for compatibility.
@@ -196,10 +194,12 @@ def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> Maxim
         raise ResourceLimitError(
             f"s = {order.s} exceeds the enumeration cap {PRIME_POWER_EXPONENT_CAP}"
         )
-    hull = _prime_power_hull(order.p, order.s)
-    best = max(e for _, e, _ in hull)
-    # x -> p^x is increasing, so sorted exponent tuples give sorted divisor sets.
-    maximizers = sorted(a for _, e, a in hull if e == best)
+    p, s = order.p, order.s
+    hull = _prime_power_hull(p, s)
+    best = max(e for _, e in hull)
+    # A set's exponents are the base-p digits 1 of its P; x -> p^x is
+    # increasing, so sorted exponent tuples give sorted divisor sets.
+    maximizers = sorted(tuple(x for x in range(s) if P // p**x % p) for P, e in hull if e == best)
     divisor_sets = tuple(divisor_set_of(a, order) for a in maximizers)
     return MaximizerReport(n=order.n, emax=best, maximizers=divisor_sets, examined=2**order.s - 1)
 
@@ -211,7 +211,7 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
     counts the 2^(tau(n)-1) - 1 sets covered. Caps: n <= 10^6 (checked
     before n is factored) and 2^20 subsets. Each row (one high half of the
     divisors with all 2^k low halves) costs O(tau(n)) operations on ints of
-    2^k fields of 8, 16 or 32 bits, so the search takes
+    2^k fields of 16 or 32 bits, so the search takes
     O(2^(tau(n)/2) tau(n)) big-int steps and memory O(2^(tau(n)/2) tau(n)).
     It runs in this process; `jobs` (an int >= 1) is accepted for
     compatibility.
@@ -225,7 +225,7 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
             f"n = {n} has {len(proper)} proper divisors, "
             f"2^{len(proper)} - 1 subsets exceed the cap {GENERAL_SUBSET_CAP}"
         )
-    best, maximizers = _best_subsets(partial(_general_halves, n), proper)
+    best, maximizers = _best_subsets(n, proper)
     return MaximizerReport(
         n=n, emax=best, maximizers=tuple(maximizers), examined=2 ** len(proper) - 1
     )

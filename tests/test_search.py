@@ -206,8 +206,11 @@ def _hull_maxima(p, s):
     """The best energy on the final hull of p^s and every exponent tuple attaining it."""
     hull = _prime_power_hull(p, s)
     assert len(hull) <= max(2, 2 * s - 1)
-    best = max(e for _, e, _ in hull)
-    return best, sorted(a for _, e, a in hull if e == best)
+    best = max(e for _, e in hull)
+    # Each P is sum p^x over its set, so the set is P's base-p digits equal to 1.
+    return best, sorted(
+        tuple(x for x in range(s) if P // p**x % p) for P, e in hull if e == best
+    )
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10))
@@ -220,7 +223,7 @@ def test_prime_power_search_matches_a_direct_scan(p, s):
 @given(st.integers(2, 400).filter(lambda m: len(divisors(m)) <= 12))
 def test_general_search_matches_a_direct_scan(n):
     items = tuple(divisors(n)[:-1])
-    assert _best_subsets(partial(_general_halves, n), items) == _oracle(
+    assert _best_subsets(n, items) == _oracle(
         partial(energy_general, n), items
     )
 
@@ -229,7 +232,7 @@ def test_general_search_matches_a_direct_scan(n):
 @pytest.mark.parametrize("n", [7, 4, 12, 36, 48, 60, 64])
 def test_general_search_matches_a_direct_scan_at_split_sizes(n):
     items = tuple(divisors(n)[:-1])
-    assert _best_subsets(partial(_general_halves, n), items) == _oracle(
+    assert _best_subsets(n, items) == _oracle(
         partial(energy_general, n), items
     )
 
@@ -322,11 +325,11 @@ def test_general_fields_are_exact_up_to_the_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [6, 12])
-@pytest.mark.parametrize("bits, word, wider", [(7, "B", "H"), (15, "H", "I")])
-def test_general_fields_are_the_narrowest_the_bound_allows(monkeypatch, n, bits, word, wider):
+def test_general_fields_are_the_narrowest_the_bound_allows(monkeypatch, n):
     # Scaling every class column by f scales the bound by f: the largest f
-    # that keeps it under 2^bits reads the rows back as `word` fields, and
-    # f + 1 (a bound at or past 2^bits) as the next wider ones.
+    # that keeps it under 2^15 reads the rows back as 16-bit fields, and
+    # f + 1 (a bound at or past 2^15) as 32-bit ones.
+    bits, word, wider = 15, "H", "I"
     counts, units = _general_units(n)
     bound = len(counts) * max(sum(map(abs, column)) for column in zip(*units))
     f = (2**bits - 1) // bound
