@@ -9,8 +9,12 @@ On the prime-power route the 2^s subsets of the exponents 0..s-1 are
 points (P, E), P = sum p^x and E the pair-sum energy. Adding an
 exponent maps every point by one affine shear, which keeps a point
 below the upper convex hull (monotone chain, Andrew 1979), so only the
-hull is carried from one exponent to the next: 2s - 1 points for
-s >= 2, O(s^2) hull steps and O(s) points (P, E) held in all.
+hull is carried from one exponent to the next. The exponents still to
+come shift every energy by -b P + K, with b in a known range [0, B]
+that shrinks to 0 at the last exponent, so each step also drops the
+hull points that no such b makes best: at most 3 points survive a step,
+the search takes O(s) hull steps on at most 6 points, and the last hull
+is exactly the maximum and its ties.
 
 On the spectral route a mask over the proper divisors of n is written
 h << k | l, the states of all half subsets are tabulated once, and each
@@ -72,7 +76,7 @@ def _upper_hull(points: list[tuple[int, int]]) -> list[int]:
 
 
 def _prime_power_hull(p: int, s: int) -> list[tuple[int, int]]:
-    """Upper hull of the states (P, E) of all 2^s subsets a of 0..s-1.
+    """The best states (P, E) of all 2^s subsets a of 0..s-1: the maximum and its ties.
 
     P = sum_{x in a} p^x, so a is the set of nonzero base-p digits of P,
     and E is the pair-sum energy 2(p-1)(r p^(s-1) - (p-1) T) of a,
@@ -87,17 +91,34 @@ def _prime_power_hull(p: int, s: int) -> list[tuple[int, int]]:
     the hull has no maximizer among its descendants. Each step therefore
     keeps only the upper hull of the old hull and its sheared copy, and
     the final hull holds the maximum and every set attaining it (with
-    collinear points kept, ties stay). The final hull has 2s - 1 points
-    for s >= 2 (checked for p <= 13, s <= 60), so the work is O(s^2)
-    hull steps with O(s) points held.
+    collinear points kept, ties stay).
+
+    The exponents still to come after y, a set Z, map every state by the
+    same E -> E - b P + K, with b = 2(p-1)^2 sum_{z in Z} p^(s-1-z) in
+    [0, B], B = 2(p-1)(p^(s-1-y) - 1). On the upper hull point i is best
+    for b exactly when slope(i, i+1) <= b <= slope(i-1, i), so a point
+    with slope(i-1, i) < 0 or slope(i, i+1) > B is strictly beaten by a
+    neighbour whatever Z is, and is dropped; the end points pass on their
+    missing side. At y = s - 1, B = 0 and the hull left is exactly the
+    maximum and its ties. At most 3 points survive a step (checked for
+    11 primes from 2 to 2^61 - 1 and s <= 500), so the work is O(s) hull
+    steps on at most 6 points.
     """
     c = 2 * (p - 1)
     gain = c * p ** (s - 1)
     hull = [(0, 0)]
     for y in range(s):
-        up, cross = p**y, c * (p - 1) * p ** (s - 1 - y)
+        low = p ** (s - 1 - y)
+        up, cross, bound = p**y, c * (p - 1) * low, c * (low - 1)
         points = hull + [(P + up, e + gain - cross * P) for P, e in hull]
         hull = [points[i] for i in _upper_hull(points)]
+        # Each point beside its neighbours, the end points beside themselves.
+        left, right = [hull[0]] + hull, hull[1:] + [hull[-1]]
+        hull = [
+            (P, e)
+            for (_, prev), (P, e), (nP, ne) in zip(left, hull, right)
+            if e >= prev and ne - e <= bound * (nP - P)
+        ]
     return hull
 
 
@@ -183,11 +204,12 @@ def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> Maxim
 
     Returns the exact maximum and every attaining set. No set is scored
     on its own: the sets are covered through the upper hull of their
-    (sum p^x, energy) points, one exponent at a time, in O(s^2) hull
-    steps holding O(s) points; `examined` counts the nonempty divisor sets
-    covered, 2^s - 1. Enforced cap s <= 20, where the search takes
-    under a millisecond. It runs in this process; `jobs` (an int >= 1)
-    is accepted for compatibility.
+    (sum p^x, energy) points, one exponent at a time, keeping only the
+    points a later exponent can still make best: O(s) hull steps on at
+    most 6 points; `examined` counts the nonempty divisor sets covered,
+    2^s - 1. Enforced cap s <= 20, where the search takes about 0.2 ms.
+    It runs in this process; `jobs` (an int >= 1) is accepted for
+    compatibility.
     """
     check_int(jobs, "jobs", 1)
     if order.s > PRIME_POWER_EXPONENT_CAP:
@@ -197,9 +219,10 @@ def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> Maxim
     p, s = order.p, order.s
     hull = _prime_power_hull(p, s)
     best = max(e for _, e in hull)
-    # A set's exponents are the base-p digits 1 of its P; x -> p^x is
-    # increasing, so sorted exponent tuples give sorted divisor sets.
-    maximizers = sorted(tuple(x for x in range(s) if P // p**x % p) for P, e in hull if e == best)
+    # Every state left attains the maximum. A set's exponents are the
+    # base-p digits 1 of its P; x -> p^x is increasing, so sorted exponent
+    # tuples give sorted divisor sets.
+    maximizers = sorted(tuple(x for x in range(s) if P // p**x % p) for P, _ in hull)
     divisor_sets = tuple(divisor_set_of(a, order) for a in maximizers)
     return MaximizerReport(n=order.n, emax=best, maximizers=divisor_sets, examined=2**order.s - 1)
 

@@ -205,12 +205,11 @@ def _oracle(score, items):
 def _hull_maxima(p, s):
     """The best energy on the final hull of p^s and every exponent tuple attaining it."""
     hull = _prime_power_hull(p, s)
-    assert len(hull) <= max(2, 2 * s - 1)
     best = max(e for _, e in hull)
+    # The last step keeps only the points no exponent is left to beat.
+    assert all(e == best for _, e in hull)
     # Each P is sum p^x over its set, so the set is P's base-p digits equal to 1.
-    return best, sorted(
-        tuple(x for x in range(s) if P // p**x % p) for P, e in hull if e == best
-    )
+    return best, sorted(tuple(x for x in range(s) if P // p**x % p) for P, _ in hull)
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10))
@@ -387,13 +386,35 @@ def test_hull_search_matches_a_per_subset_scan(p, s):
     )
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 97, 1009])
 def test_hull_past_the_exponent_cap_matches_the_closed_form(p):
     # emax_closed builds its maximizers from the paper's theorem and shares
     # no code with the hull.
-    for s in range(PRIME_POWER_EXPONENT_CAP + 1, 61):
+    for s in range(PRIME_POWER_EXPONENT_CAP + 1, 101):
         value, tuples = emax_closed(PrimePowerOrder(p, s))
         assert _hull_maxima(p, s) == (value, sorted(tuples)), s
+
+
+@pytest.mark.parametrize("p, s", [(2, 1000), (7, 200)])
+def test_hull_far_past_the_exponent_cap_matches_the_closed_form(p, s):
+    value, tuples = emax_closed(PrimePowerOrder(p, s))
+    assert _hull_maxima(p, s) == (value, sorted(tuples))
+
+
+def test_hull_steps_stay_small(monkeypatch):
+    # Without the pruning the last step would pass 4s - 2 points.
+    sizes = []
+
+    def counting(points):
+        sizes.append(len(points))
+        return _upper_hull(points)
+
+    monkeypatch.setattr(search, "_upper_hull", counting)
+    for p in (2, 3, 5, 7, 11, 13):
+        for s in range(1, 61):
+            sizes.clear()
+            _prime_power_hull(p, s)
+            assert len(sizes) == s and max(sizes) <= 6, (p, s, max(sizes))
 
 
 def test_items_are_validated_once_per_search_not_per_subset(monkeypatch):
@@ -432,8 +453,8 @@ def test_prime_power_brute_force_at_the_exponent_cap():
 
 @pytest.mark.parametrize("p", [2, 7])
 def test_search_memory_stays_flat_in_the_exponent(p):
-    # The hull holds 2s - 1 = 39 states at s = 20; the half tables of a
-    # meet-in-the-middle search took 230-295 KiB there.
+    # The hull holds at most 6 states at a step; the half tables of a
+    # meet-in-the-middle search took 230-295 KiB at s = 20.
     order = PrimePowerOrder(p, 20)
     brute_force_emax_prime_power(order)  # warm-up: lazy imports and caches
     tracemalloc.start()
