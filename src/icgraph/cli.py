@@ -8,10 +8,10 @@ timing goes to stderr, and only under --timing.
 JSON carries every energy, order and divisor as a decimal string so no
 consumer is forced through a lossy double; small structural numbers
 (s, r, step, u, v, exponents, delta entries, eigenvalues) stay JSON
-numbers. CSV for trace has the fixed column order
-step,label,u,v,before,after,r,energy; other commands emit key,value
-rows (spectrum: k,eigenvalue; verify: p,s,ok,emax). Numbers print in
-full, whatever their digit count.
+numbers, and so does brute_examined, 2^s - 1, which follows from s.
+CSV for trace has the fixed column order step,label,u,v,before,after,
+r,energy; other commands emit key,value rows (spectrum: k,eigenvalue;
+verify: p,s,ok,emax). Numbers print in full, whatever their digit count.
 
 Exit codes: 0 success, 1 usage error, 2 resource cap exceeded or
 stdout could not be written, 3 verification discrepancy.
@@ -50,6 +50,7 @@ EXIT_RESOURCE = 2
 EXIT_DISCREPANCY = 3
 
 PMAX_CAP = 10**4  # verify sieves p <= pmax before sweeping
+SMAX_CAP = 20  # verify sweeps s = 1..smax for each prime
 OUTPUT_BITS_CAP = 10**7  # numbers printed x bits of p^s, checked before p is tested
 STR_BLOCK_BITS = 14285  # bits of 10**4300, CPython's default str() digit limit
 
@@ -212,7 +213,8 @@ def cmd_energy(args):
 
 
 def cmd_emax(args):
-    order = _order(args.p, args.s, args.s)
+    # --brute adds its maximizer sets (s numbers, as the closed form's), its emax and examined.
+    order = _order(args.p, args.s, 2 * args.s + 2 if args.brute else args.s)
     value, tuples = emax_closed(order)
     sets = [divisor_set_of(t, order) for t in tuples]
     results: dict = {
@@ -327,12 +329,10 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    from .search import PRIME_POWER_EXPONENT_CAP, verify_theorem
+    from .search import verify_theorem
 
-    if args.smax > PRIME_POWER_EXPONENT_CAP:
-        raise ResourceLimitError(
-            f"--smax {args.smax} exceeds the enumeration cap {PRIME_POWER_EXPONENT_CAP}"
-        )
+    if args.smax > SMAX_CAP:
+        raise ResourceLimitError(f"--smax {args.smax} exceeds the enumeration cap {SMAX_CAP}")
     if args.pmax > PMAX_CAP:
         raise ResourceLimitError(f"--pmax {args.pmax} exceeds the sweep cap {PMAX_CAP}")
     if args.pmax < 2:

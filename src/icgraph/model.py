@@ -53,11 +53,11 @@ def check_exponent_tuple(a: Sequence[int], s: int) -> tuple[int, ...]:
     for x in a:
         check_int(x, "exponent entry")
     if any(a[i] >= a[i + 1] for i in range(len(a) - 1)):
-        raise ValueError(f"exponents must be strictly increasing, got {a}")
+        raise ValueError(f"exponents must be strictly increasing, got {_shown(a)}")
     if a[0] < 0:
-        raise ValueError(f"exponents must be >= 0, got {a}")
+        raise ValueError(f"exponents must be >= 0, got {_shown(a)}")
     if a[-1] > s - 1:
-        raise ValueError(f"largest exponent {a[-1]} exceeds s-1 = {s - 1}")
+        raise ValueError(f"largest exponent {_shown(a[-1])} exceeds s-1 = {_shown(s - 1)}")
     return a
 
 
@@ -68,11 +68,11 @@ def admissible_context(a: Sequence[int]) -> tuple[int, int]:
     """
     a = tuple(a)
     if len(a) < 2:
-        raise ValueError(f"admissible tuples need r >= 2 entries, got {a}")
+        raise ValueError(f"admissible tuples need r >= 2 entries, got {_shown(a)}")
     s = a[-1] + 1
     check_exponent_tuple(a, s)
     if a[0] != 0:
-        raise ValueError(f"admissible tuples start at 0, got {a}")
+        raise ValueError(f"admissible tuples start at 0, got {_shown(a)}")
     return s, len(a)
 
 

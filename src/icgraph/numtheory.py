@@ -38,8 +38,7 @@ def check_int(value: int, what: str, minimum: Optional[int] = None) -> None:
         minimum is not None and value < minimum
     ):
         bound = "" if minimum is None else f" >= {minimum}"
-        shown = _shown(value) if type(value) is int else repr(value)
-        raise ValueError(f"{what} must be an int{bound}, got {shown}")
+        raise ValueError(f"{what} must be an int{bound}, got {_shown(value)}")
 
 
 def check_prime(p: int) -> None:
@@ -49,11 +48,15 @@ def check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {_shown(p)}")
 
 
-def _shown(n: int) -> str:
-    """n in decimal for a message; past 50 digits its first 20 and its length.
+def _shown(n) -> str:
+    """n for a message: an int in decimal, past 50 digits its first 20 and its length.
 
-    Never calls str on a long n, so the int-to-str digit limit cannot trip.
+    Tuples as repr lays them out, other values by repr; no long int reaches str().
     """
+    if isinstance(n, tuple):
+        return "(" + ", ".join(map(_shown, n)) + ("," if len(n) == 1 else "") + ")"
+    if type(n) is not int:
+        return repr(n)
     if n < 0:
         return "-" + _shown(-n)
     if n < 10**50:

@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence
 
 from .energy import _gap_energy, canonical_maximizer
 from .model import PrimePowerOrder, check_delta
-from .numtheory import check_int, check_prime
+from .numtheory import _shown, check_int, check_prime
 
 
 class TransformLabel(str, enum.Enum):
@@ -118,12 +118,14 @@ def apply_rule(
     d = check_delta(d)
     check_prime(p)
     if not isinstance(label, TransformLabel):
-        raise ValueError(f"label must be a TransformLabel, got {label!r}")
+        raise ValueError(f"label must be a TransformLabel, got {_shown(label)}")
     check_int(u, "u")
     if v is not None:
         check_int(v, "v")
     if (label, u, v) not in _instances(d):
-        raise ValueError(f"rule {label} does not apply at u={u}, v={v} to {d}")
+        raise ValueError(
+            f"rule {label} does not apply at u={_shown(u)}, v={_shown(v)} to {_shown(d)}"
+        )
     return _apply(d, label, u, v, p)
 
 
@@ -210,7 +212,9 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     """
     d = check_delta(d0)
     if sum(d) != order.s - 1:
-        raise ValueError(f"delta vector {d} sums to {sum(d)}, needs s-1 = {order.s - 1}")
+        raise ValueError(
+            f"delta vector {_shown(d)} sums to {_shown(sum(d))}, needs s-1 = {_shown(order.s - 1)}"
+        )
     p, s = order.p, order.s
     check_prime(p)
     steps: list[TransformStep] = []

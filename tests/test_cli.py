@@ -261,10 +261,23 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err != ""
 
 
-def test_resource_caps_exit_2(capsys):
-    code, _, err = run_cli(capsys, ["emax", "--p", "2", "--s", "21", "--brute"])
-    assert code == 2
-    assert "cap" in err
+def test_resource_caps_exit_2(capsys, monkeypatch):
+    # --brute prints 2s + 2 numbers of up to s + 1 bits at p = 2: the closed
+    # form's s, as many for the search's maximizer sets, its emax and examined.
+    s = 2235
+    assert (2 * s + 2) * (s + 1) <= cli.OUTPUT_BITS_CAP < (2 * s + 4) * (s + 2)
+    code, out, _ = run_cli(capsys, ["emax", "--p", "2", "--s", str(s), "--brute"])
+    assert code == 0
+    assert out.endswith("agreement = yes\n")
+
+    def no_search(order):
+        raise AssertionError(f"searched {order}")
+
+    # cli imports the search when --brute runs, so the fault goes into search.
+    monkeypatch.setattr(search, "brute_force_emax_prime_power", no_search)
+    code, out, err = run_cli(capsys, ["emax", "--p", "2", "--s", str(s + 1), "--brute"])
+    assert (code, out) == (2, "")
+    assert "output cap" in err
     code, _, err = run_cli(capsys, ["verify", "--pmax", "2", "--smax", "21"])
     assert code == 2
 
@@ -596,7 +609,7 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- process level
 
-# A brute force near the exponent cap.
+# A brute force over 2^18 - 1 divisor sets.
 SUBPROCESS_ARGS = [
     "emax",
     "--p", "2",

@@ -2,12 +2,13 @@
 
 Every argv in benchmarks/data/cli_golden.json (the benchmark's catalog,
 all exit 0) and in tests/data/cli_golden_extra.json (branches the
-catalog misses: the zero-step trace, s = 1 edges, every --help text and
-the exit-3 discrepancy renders) must give the stored stdout and exit
-code. Both files are only read here; the extra file was captured from
-the CLI before its render path was merged. Only its emax and verify
---help entries were captured again, in process with COLUMNS=80, when
-the no-op --jobs option was removed.
+catalog misses: the zero-step trace, s = 1 edges, every --help text,
+the exit-3 discrepancy renders and emax --brute past s = 20) must give
+the stored stdout and exit code. Both files are only read here; the
+extra file was captured from the CLI before its render path was merged.
+Only its emax and verify --help entries were captured again, in process
+with COLUMNS=80, when the no-op --jobs option was removed, and its
+emax --brute entries past s = 20 were added when the search took any s.
 """
 
 import json

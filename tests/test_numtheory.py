@@ -15,12 +15,16 @@ from icgraph import (
     apply_rule,
     brute_force_emax_general,
     check_divisor_set,
+    check_exponent_tuple,
+    delta,
+    divisor_set_of,
     divisors,
     energy_general,
     factorize,
     h_value,
     is_prime,
     mobius,
+    normalize,
     ramanujan_sum,
     spectrum_gcd_graph,
     totient,
@@ -135,6 +139,30 @@ BIG = "10000000000000000000\u2026 (5001 digits)"  # 10**5000
         pytest.param(
             lambda: check_int(-(10**5000), "n", 1), ValueError,
             f"n must be an int >= 1, got -{BIG}", id="below-minimum",
+        ),
+        pytest.param(
+            lambda: check_exponent_tuple((0, 10**5000), 3), ValueError,
+            f"largest exponent {BIG} exceeds s-1 = 2", id="exponent-past-s",
+        ),
+        pytest.param(
+            lambda: delta((1, 10**5000)), ValueError,
+            f"admissible tuples start at 0, got (1, {BIG})", id="delta-start",
+        ),
+        pytest.param(
+            lambda: h_value(2, (10**5000, 1)), ValueError,
+            f"exponents must be strictly increasing, got ({BIG}, 1)", id="h-order",
+        ),
+        pytest.param(
+            lambda: divisor_set_of((0, 10**5000), PrimePowerOrder(2, 3)), ValueError,
+            f"largest exponent {BIG} exceeds s-1 = 2", id="divisor-set-exponent",
+        ),
+        pytest.param(
+            lambda: normalize((1, 10**5000), PrimePowerOrder(2, 5)), ValueError,
+            f"delta vector (1, {BIG}) sums to {BIG}, needs s-1 = 4", id="delta-sum",
+        ),
+        pytest.param(
+            lambda: apply_rule((10**5000,), TransformLabel.II, 1, 2, 2), ValueError,
+            f"rule II does not apply at u=1, v=2 to ({BIG},)", id="rule-instance",
         ),
     ],
 )

@@ -32,7 +32,6 @@ from icgraph import (
 )
 from icgraph.energy import SPECTRAL_N_CAP
 from icgraph.search import (
-    PRIME_POWER_EXPONENT_CAP,
     _best_subsets,
     _general_halves,
     _prime_power_hull,
@@ -58,7 +57,7 @@ def test_prime_power_brute_force_counts_all_subsets():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("s", range(1, PRIME_POWER_EXPONENT_CAP + 1))
+@pytest.mark.parametrize("s", range(1, 21))
 def test_brute_force_agrees_with_closed_form(p, s):
     order = PrimePowerOrder(p, s)
     report = brute_force_emax_prime_power(order)
@@ -154,11 +153,6 @@ def test_jobs_must_be_a_positive_int(jobs):
     ):
         with pytest.raises(ValueError, match="jobs must be an int >= 1"):
             run(jobs=jobs)
-
-
-def test_prime_power_brute_force_enforces_exponent_cap():
-    with pytest.raises(ResourceLimitError):
-        brute_force_emax_prime_power(PrimePowerOrder(2, PRIME_POWER_EXPONENT_CAP + 1))
 
 
 def test_general_brute_force_enforces_caps():
@@ -386,19 +380,26 @@ def test_hull_search_matches_a_per_subset_scan(p, s):
     )
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 97, 1009])
-def test_hull_past_the_exponent_cap_matches_the_closed_form(p):
+def _assert_search_matches_the_closed_form(order):
     # emax_closed builds its maximizers from the paper's theorem and shares
     # no code with the hull.
-    for s in range(PRIME_POWER_EXPONENT_CAP + 1, 101):
-        value, tuples = emax_closed(PrimePowerOrder(p, s))
-        assert _hull_maxima(p, s) == (value, sorted(tuples)), s
+    value, tuples = emax_closed(order)
+    report = brute_force_emax_prime_power(order)
+    assert report.emax == value, order
+    assert report.maximizers == tuple(sorted(divisor_set_of(a, order) for a in tuples)), order
+    assert report.examined == 2**order.s - 1
+    assert verify_theorem(order) == (True, [])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 97, 1009])
+def test_search_past_s_20_matches_the_closed_form(p):
+    for s in range(21, 101):
+        _assert_search_matches_the_closed_form(PrimePowerOrder(p, s))
 
 
 @pytest.mark.parametrize("p, s", [(2, 1000), (7, 200)])
-def test_hull_far_past_the_exponent_cap_matches_the_closed_form(p, s):
-    value, tuples = emax_closed(PrimePowerOrder(p, s))
-    assert _hull_maxima(p, s) == (value, sorted(tuples))
+def test_search_far_past_s_20_matches_the_closed_form(p, s):
+    _assert_search_matches_the_closed_form(PrimePowerOrder(p, s))
 
 
 def test_hull_steps_stay_small(monkeypatch):
@@ -432,16 +433,15 @@ def test_items_are_validated_once_per_search_not_per_subset(monkeypatch):
     # 3^10 and 2^10 = 1024 both have 2^10 - 1 subsets.
     report = brute_force_emax_prime_power(PrimePowerOrder(3, 10))
     assert report.examined == 2**10 - 1
-    # The hull builds its own exponent tuples; each maximizer is checked
-    # once, as it becomes a divisor set.
-    assert calls == ["check_exponent_tuple"] * len(report.maximizers)
+    # The hull builds each maximizer's divisor set from its state: nothing to check.
+    assert calls == []
     calls.clear()
     report = brute_force_emax_general(1024)
     assert report.examined == 2**10 - 1
     assert calls == ["check_divisor_set"]
 
 
-def test_prime_power_brute_force_at_the_exponent_cap():
+def test_prime_power_brute_force_at_s_20():
     order = PrimePowerOrder(2, 20)
     report = brute_force_emax_prime_power(order)
     value, tuples = emax_closed(order)
@@ -474,6 +474,28 @@ def test_verify_theorem_grid(p):
         ok, problems = verify_theorem(PrimePowerOrder(p, s))
         assert ok, problems
         assert problems == []
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-str limit"
+)
+def test_verify_theorem_returns_discrepancies_past_the_digit_limit(monkeypatch):
+    # With any s accepted, a report's numbers can pass the int-to-str digit
+    # limit; a discrepancy must still come back as a message, not raise.
+    big = 10**5000
+    report = MaximizerReport(n=8, emax=big, maximizers=((big,),), examined=7)
+    monkeypatch.setattr(search, "brute_force_emax_prime_power", lambda order, jobs: report)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        ok, problems = verify_theorem(PrimePowerOrder(2, 3))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    shown = "10000000000000000000\u2026 (5001 digits)"
+    assert (ok, problems) == (False, [
+        f"2^3: closed form gives 14, enumeration gives {shown}",
+        f"2^3: closed-form maximizers ((1, 2, 4), (1, 4)) != enumerated (({shown},),)",
+    ])
 
 
 # ---------------------------------------------------------------- reduction identity
