@@ -329,7 +329,7 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    from .search import verify_theorem
+    from .search import _discrepancies, _prime_power_hulls, _report
 
     if args.smax > SMAX_CAP:
         raise ResourceLimitError(f"--smax {args.smax} exceeds the enumeration cap {SMAX_CAP}")
@@ -342,10 +342,11 @@ def cmd_verify(args):
     cases, lines = [], []
     rows = [["p", "s", "ok", "emax"]]
     for p in primes_up_to(args.pmax):
-        for s in range(1, args.smax + 1):
+        for s, hull in enumerate(_prime_power_hulls(p, args.smax), 1):
             order = PrimePowerOrder(p, s)
-            ok, problems = verify_theorem(order)
-            value, _ = emax_closed(order)
+            closed = emax_closed(order)
+            problems = _discrepancies(order, closed, _report(order, args.smax, hull))
+            ok, value = not problems, closed[0]
             cases.append(
                 {"p": str(p), "s": s, "ok": ok, "emax": str(value), "problems": problems}
             )

@@ -5,16 +5,14 @@ verifier for the closed-form maximal energies: it never touches the
 closed forms, only the energy formulas, and it finds the maximum and
 every set attaining it.
 
-On the prime-power route the 2^s subsets of the exponents 0..s-1 are
-points (P, E), P = sum p^x and E the pair-sum energy. Adding an
-exponent maps every point by one affine shear, which keeps a point
-below the upper convex hull (monotone chain, Andrew 1979), so only the
-hull is carried from one exponent to the next. The exponents still to
-come shift every energy by -b P + K, with b in a known range [0, B]
-that shrinks to 0 at the last exponent, so each step also drops the
-hull points that no such b makes best: at most 3 points survive a step,
-the search takes O(s) hull steps on at most 6 points, and the last hull
-is exactly the maximum and its ties.
+On the prime-power route a subset a of the exponents is a point (P, G),
+P = sum p^x and G = p^(smax-1) (r - (p-1) h(a)), free of s. Adding an
+exponent is one affine shear, which keeps a point below the upper
+convex hull (monotone chain, Andrew 1979), so each step keeps the hull,
+less the points no later exponent can make best: at most 6 points enter
+a step. After exponent s - 1 the points of largest G are the maximizers
+of p^s, of energy 2(p-1) G / p^(smax-s), exact as p^(smax-s) divides G,
+so one walk of smax steps serves every s <= smax.
 
 On the spectral route a mask over the proper divisors of n is written
 h << k | l, the states of all half subsets are tabulated once, and each
@@ -74,51 +72,58 @@ def _upper_hull(points: list[tuple[int, int]]) -> list[int]:
     return hull
 
 
-def _prime_power_hull(p: int, s: int) -> list[tuple[int, int]]:
-    """The best states (P, E) of all 2^s subsets a of 0..s-1: the maximum and its ties.
+def _prime_power_hulls(p: int, smax: int):
+    """The best states (P, G) of the subsets of 0..y, after each exponent y < smax.
 
     P = sum_{x in a} p^x, so a is the set of nonzero base-p digits of P,
-    and E is the pair-sum energy 2(p-1)(r p^(s-1) - (p-1) T) of a,
-    r = |a| and T = sum_{x < y in a} p^(s-1-(y-x)). Adding an exponent y
-    above all those of a adds p^(s-1-y) P to T, so it maps a state by the
-    affine shear (P, E) -> (P + p^y, E + 2(p-1) p^(s-1) - 2(p-1)^2 p^(s-1-y) P).
-    The exponents are added in increasing order: after y the states are
-    the old ones and their sheared copies, and the copies all have
-    P >= p^y, above every old P, so the points come sorted by P. A shear
-    keeps a point strictly below a chord, and so below the energy at one
-    of the chord's ends, whatever shears follow: a state strictly below
-    the hull has no maximizer among its descendants. Each step therefore
-    keeps only the upper hull of the old hull and its sheared copy, and
-    the final hull holds the maximum and every set attaining it (with
-    collinear points kept, ties stay).
-
-    The exponents still to come after y, a set Z, map every state by the
-    same E -> E - b P + K, with b = 2(p-1)^2 sum_{z in Z} p^(s-1-z) in
-    [0, B], B = 2(p-1)(p^(s-1-y) - 1). On the upper hull point i is best
-    for b exactly when slope(i, i+1) <= b <= slope(i-1, i), so a point
-    with slope(i-1, i) < 0 or slope(i, i+1) > B is strictly beaten by a
-    neighbour whatever Z is, and is dropped; the end points pass on their
-    missing side. At y = s - 1, B = 0 and the hull left is exactly the
-    maximum and its ties. At most 3 points survive a step (checked for
-    11 primes from 2 to 2^61 - 1 and s <= 500), so the work is O(s) hull
-    steps on at most 6 points.
+    and G = p^(smax-1) (r - (p-1) h(a)), r = |a|, h(a) = sum_{x<z in a} p^(x-z).
+    As a divisor set of p^s, a has energy 2(p-1) G / p^(smax-s), exact
+    since every term of G = r p^(smax-1) - (p-1) sum_{x<z} p^(smax-1-(z-x))
+    is a multiple of p^(smax-s) when a lies in 0..s-1. Adding an exponent
+    y above all of a is the affine shear, free of s,
+    (P, G) -> (P + p^y, G + p^(smax-1) - (p-1) p^(smax-1-y) P). As the
+    exponents come in increasing order, the sheared copies (P >= p^y)
+    follow the old points, sorted by P. A shear keeps a point strictly
+    below a chord, and so below one of its ends, whatever shears follow:
+    only the upper hull of the old hull and its copy is kept (collinear
+    points too, so ties stay). The exponents Z still to come map every
+    state by G -> G - b P + K, b = (p-1) sum_{z in Z} p^(smax-1-z) in
+    [0, B], B = p^(smax-1-y) - 1, whichever s <= smax they lead to;
+    reading off s = y + 1 is b = 0. Hull point i is best for b exactly
+    when slope(i, i+1) <= b <= slope(i-1, i), so a point with
+    slope(i-1, i) < 0 or slope(i, i+1) > B is strictly beaten by a
+    neighbour whatever Z is, and is dropped (the end points pass on
+    their missing side). The hull yielded after y thus holds the maximum
+    of p^(y+1) and its ties as its points of largest G; at y = smax - 1,
+    B = 0 and every point attains it. At most 3 points survive a step
+    (checked for 11 primes up to 2^61 - 1 and s <= 500).
     """
-    c = 2 * (p - 1)
-    gain = c * p ** (s - 1)
-    hull = [(0, 0)]
-    for y in range(s):
-        low = p ** (s - 1 - y)
-        up, cross, bound = p**y, c * (p - 1) * low, c * (low - 1)
-        points = hull + [(P + up, e + gain - cross * P) for P, e in hull]
+    top, low, up, hull = p ** (smax - 1), p**smax, 1, [(0, 0)]
+    for _ in range(smax):
+        low //= p
+        cross, bound = (p - 1) * low, low - 1
+        points = hull + [(P + up, g + top - cross * P) for P, g in hull]
         hull = [points[i] for i in _upper_hull(points)]
         # Each point beside its neighbours, the end points beside themselves.
         left, right = [hull[0]] + hull, hull[1:] + [hull[-1]]
         hull = [
-            (P, e)
-            for (_, prev), (P, e), (nP, ne) in zip(left, hull, right)
-            if e >= prev and ne - e <= bound * (nP - P)
+            (P, g)
+            for (_, prev), (P, g), (nP, ng) in zip(left, hull, right)
+            if g >= prev and ng - g <= bound * (nP - P)
         ]
-    return hull
+        up *= p
+        yield hull
+
+
+def _report(order: PrimePowerOrder, smax: int, hull: list[tuple[int, int]]) -> MaximizerReport:
+    """The report of p^s from the hull _prime_power_hulls(p, smax) yields after exponent s - 1."""
+    p, s = order.p, order.s
+    best = max(g for _, g in hull)
+    maximizers = sorted(
+        tuple(p**x for x in range(s) if P // p**x % p) for P, g in hull if g == best
+    )
+    emax = 2 * (p - 1) * best // p ** (smax - s)
+    return MaximizerReport(n=order.n, emax=emax, maximizers=tuple(maximizers), examined=2**s - 1)
 
 
 def _general_halves(n: int, items: tuple, k: int):
@@ -211,13 +216,9 @@ def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> Maxim
     compatibility.
     """
     check_int(jobs, "jobs", 1)
-    p, s = order.p, order.s
-    hull = _prime_power_hull(p, s)
-    best = max(e for _, e in hull)
-    # Every state left attains the maximum; its divisors are the p^x at
-    # the base-p digits 1 of its P.
-    maximizers = sorted(tuple(p**x for x in range(s) if P // p**x % p) for P, _ in hull)
-    return MaximizerReport(n=order.n, emax=best, maximizers=tuple(maximizers), examined=2**s - 1)
+    for hull in _prime_power_hulls(order.p, order.s):
+        pass
+    return _report(order, order.s, hull)
 
 
 def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
@@ -257,9 +258,15 @@ def verify_theorem(order: PrimePowerOrder, jobs: int = 1) -> tuple[bool, list[st
     their (sum p^x, energy) points, in this process; `jobs` (an int >= 1)
     goes to brute_force_emax_prime_power.
     """
-    value, tuples = emax_closed(order)
-    expected = tuple(sorted(divisor_set_of(t, order) for t in tuples))
     report = brute_force_emax_prime_power(order, jobs=jobs)
+    problems = _discrepancies(order, emax_closed(order), report)
+    return not problems, problems
+
+
+def _discrepancies(order: PrimePowerOrder, closed, report: MaximizerReport) -> list[str]:
+    """How report differs from closed = emax_closed(order), as messages; [] when it agrees."""
+    value, tuples = closed
+    expected = tuple(sorted(divisor_set_of(t, order) for t in tuples))
     problems: list[str] = []
     if report.emax != value:
         problems.append(
@@ -270,4 +277,4 @@ def verify_theorem(order: PrimePowerOrder, jobs: int = 1) -> tuple[bool, list[st
             f"{order}: closed-form maximizers {_shown(expected)} != enumerated "
             f"{_shown(report.maximizers)}"
         )
-    return not problems, problems
+    return problems

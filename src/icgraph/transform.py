@@ -157,7 +157,8 @@ class TransformStep:
     def __post_init__(self) -> None:
         if self.energy_after < self.energy_before:
             raise ValueError(
-                f"energy must not decrease: {self.energy_before} -> {self.energy_after}"
+                f"energy must not decrease: {_shown(self.energy_before)} -> "
+                f"{_shown(self.energy_after)}"
             )
         if self.strict != (self.energy_after > self.energy_before):
             raise ValueError("strict flag disagrees with the energies")
@@ -170,7 +171,8 @@ class TransformStep:
             )
             if not shape_ok:
                 raise ValueError(
-                    f"only rule III on (1,2,...,2,1) may preserve energy, got {self}"
+                    f"only rule III on (1,2,...,2,1) may preserve energy, "
+                    f"got rule {self.label} on {_shown(self.before)}"
                 )
 
 
@@ -210,7 +212,7 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     rewrite and energy; each TransformStep and the Trace still check
     their own invariants.
     """
-    d = check_delta(d0)
+    d0 = d = check_delta(d0)
     if sum(d) != order.s - 1:
         raise ValueError(
             f"delta vector {_shown(d)} sums to {_shown(sum(d))}, needs s-1 = {_shown(order.s - 1)}"
@@ -222,12 +224,12 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     limit = 4 * s + 16
     while (instance := next(_instances(d), None)) is not None:
         if len(steps) >= limit:
-            raise RuntimeError(f"rewrite did not terminate within {limit} steps from {d0}")
+            raise RuntimeError(f"rewrite did not terminate within {limit} steps from {_shown(d0)}")
         label, u, v = instance
         after, strict = _apply(d, label, u, v, p)
         energy_after = _gap_energy(p, s, after, 0)
         steps.append(TransformStep(label, u, v, d, after, energy, energy_after, strict))
         d, energy = after, energy_after
     if d not in canonical_maximizer(order):
-        raise RuntimeError(f"terminal {d} is not a maximal-energy vector for {order}")
+        raise RuntimeError(f"terminal {_shown(d)} is not a maximal-energy vector for {order}")
     return Trace(order=order, steps=tuple(steps), terminal=d)

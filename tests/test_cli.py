@@ -600,11 +600,31 @@ def test_oracle_disagreement_exits_3(capsys, monkeypatch):
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
-    ok_problems = (False, ["emax mismatch"])
-    # cli imports verify_theorem when verify runs, so the fault goes into search.
-    monkeypatch.setattr(search, "verify_theorem", lambda order: ok_problems)
+    # cli imports the closed-form check when verify runs, so the fault goes into search.
+    monkeypatch.setattr(search, "_discrepancies", lambda order, closed, report: ["emax mismatch"])
     code, out, _ = run_cli(capsys, ["verify", "--pmax", "2", "--smax", "1"])
     assert code == 3
+
+
+def test_verify_walks_one_hull_per_prime(capsys, monkeypatch):
+    calls = {"hull": 0, "closed": 0}
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(search, "_upper_hull", counting("hull", search._upper_hull))
+    closed = counting("closed", cli.emax_closed)
+    monkeypatch.setattr(cli, "emax_closed", closed)
+    monkeypatch.setattr(search, "emax_closed", closed)
+    code, out, _ = run_cli(capsys, ["verify", "--pmax", "100", "--smax", "20"])
+    assert (code, out.splitlines()[-1]) == (0, "all 500 cases agree")
+    # 25 primes up to 100, one hull step per exponent, one closed form per case;
+    # a search per case would take 25 * (1 + 2 + ... + 20) steps.
+    assert calls == {"hull": 25 * 20, "closed": 25 * 20}
 
 
 # ---------------------------------------------------------------- process level

@@ -9,6 +9,9 @@ extra file was captured from the CLI before its render path was merged.
 Only its emax and verify --help entries were captured again, in process
 with COLUMNS=80, when the no-op --jobs option was removed, and its
 emax --brute entries past s = 20 were added when the search took any s.
+The verify discrepancy entries name the fault they inject; it moved from
+verify_theorem to the closed-form check verify now calls, with the
+stored stdout unchanged.
 """
 
 import json
@@ -33,12 +36,12 @@ def _emax_plus_two(real):
 
 
 # Faults injected so the discrepancy renders can be reached at all, each
-# with the module it goes into: cli imports verify_theorem from search
-# only when verify runs.
+# with the module it goes into: cli imports the closed-form check
+# _discrepancies from search only when verify runs.
 PATCHES = {
     "emax_closed": (cli, _emax_plus_two(cli.emax_closed)),
     "energy_prime_power": (cli, lambda order, a: 4),
-    "verify_theorem": (search, lambda order: (False, ["emax mismatch"])),
+    "_discrepancies": (search, lambda order, closed, report: ["emax mismatch"]),
 }
 
 CASES = [dict(entry, exit=0, system_exit=False, patch=None) for entry in CATALOG]

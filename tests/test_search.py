@@ -34,7 +34,8 @@ from icgraph.energy import SPECTRAL_N_CAP
 from icgraph.search import (
     _best_subsets,
     _general_halves,
-    _prime_power_hull,
+    _prime_power_hulls,
+    _report,
     _upper_hull,
 )
 
@@ -196,19 +197,23 @@ def _oracle(score, items):
     return best, sorted(ties)
 
 
-def _hull_maxima(p, s):
-    """The best energy on the final hull of p^s and every exponent tuple attaining it."""
-    hull = _prime_power_hull(p, s)
-    best = max(e for _, e in hull)
+def _hull_maxima(p, s, smax):
+    """Best energy of p^s off the walk over smax, and every exponent tuple attaining it."""
+    hull = list(_prime_power_hulls(p, smax))[s - 1]
+    best = max(g for _, g in hull)
     # The last step keeps only the points no exponent is left to beat.
-    assert all(e == best for _, e in hull)
+    assert s < smax or all(g == best for _, g in hull)
+    energy, rest = divmod(2 * (p - 1) * best, p ** (smax - s))
+    assert rest == 0
     # Each P is sum p^x over its set, so the set is P's base-p digits equal to 1.
-    return best, sorted(tuple(x for x in range(s) if P // p**x % p) for P, _ in hull)
+    return energy, sorted(
+        tuple(x for x in range(s) if P // p**x % p) for P, g in hull if g == best
+    )
 
 
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10))
-def test_prime_power_search_matches_a_direct_scan(p, s):
-    assert _hull_maxima(p, s) == _oracle(
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10), st.integers(0, 5))
+def test_prime_power_search_matches_a_direct_scan(p, s, more):
+    assert _hull_maxima(p, s, s + more) == _oracle(
         partial(energy_prime_power, PrimePowerOrder(p, s)), tuple(range(s))
     )
 
@@ -373,7 +378,7 @@ def test_upper_hull_drops_points_strictly_below_it():
 def test_hull_search_matches_a_per_subset_scan(p, s):
     order = PrimePowerOrder(p, s)
     best, ties = _oracle(partial(energy_prime_power, order), tuple(range(s)))
-    assert _hull_maxima(p, s) == (best, ties)
+    assert _hull_maxima(p, s, s) == _hull_maxima(p, s, 12) == (best, ties)
     report = brute_force_emax_prime_power(order)
     assert report == MaximizerReport(
         order.n, best, tuple(divisor_set_of(a, order) for a in ties), 2**s - 1
@@ -403,7 +408,7 @@ def test_search_far_past_s_20_matches_the_closed_form(p, s):
 
 
 def test_hull_steps_stay_small(monkeypatch):
-    # Without the pruning the last step would pass 4s - 2 points.
+    # Without the pruning the last step would pass 4 smax - 2 points.
     sizes = []
 
     def counting(points):
@@ -412,10 +417,23 @@ def test_hull_steps_stay_small(monkeypatch):
 
     monkeypatch.setattr(search, "_upper_hull", counting)
     for p in (2, 3, 5, 7, 11, 13):
-        for s in range(1, 61):
+        for smax in range(1, 61):
             sizes.clear()
-            _prime_power_hull(p, s)
-            assert len(sizes) == s and max(sizes) <= 6, (p, s, max(sizes))
+            for _ in _prime_power_hulls(p, smax):
+                pass
+            assert len(sizes) == smax and max(sizes) <= 6, (p, smax, max(sizes))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 97, 1009])
+def test_one_walk_reads_off_every_exponent_up_to_smax(p):
+    # emax_closed shares no code with the hull; every smax <= 60 and s <= smax.
+    for smax in range(1, 61):
+        for s, hull in enumerate(_prime_power_hulls(p, smax), 1):
+            order = PrimePowerOrder(p, s)
+            value, tuples = emax_closed(order)
+            expected = tuple(sorted(divisor_set_of(a, order) for a in tuples))
+            report = _report(order, smax, hull)
+            assert (report.emax, report.maximizers) == (value, expected), (p, s, smax)
 
 
 def test_items_are_validated_once_per_search_not_per_subset(monkeypatch):

@@ -395,6 +395,31 @@ def test_step_record_rejects_plateau_outside_the_exceptional_merge():
         )
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-str limit"
+)
+@pytest.mark.parametrize(
+    "before, drop, strict, message",
+    [
+        ((1,), 1, True, "energy must not decrease: 10000000000000000000"),
+        ((3,), 0, False, r"may preserve energy, got rule II on \(3,\)"),
+    ],
+    ids=["decrease", "plateau"],
+)
+def test_step_record_messages_survive_the_digit_limit(before, drop, strict, message):
+    # Energies past 4300 digits must not make the message itself raise.
+    big = 10**5000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match=message):
+            TransformStep(
+                TransformLabel.II, 1, 2, before, (2,), big, big - drop, strict
+            )
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_trace_rejects_broken_chain():
     p = 3
     s1 = _step(p, (4, 2), TransformLabel.Ia, 1, None)
