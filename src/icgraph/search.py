@@ -14,16 +14,15 @@ a step. After exponent s - 1 the points of largest G are the maximizers
 of p^s, of energy 2(p-1) G / p^(smax-s), exact as p^(smax-s) divides G,
 so one walk of smax steps serves every s <= smax.
 
-On the spectral route a mask over the proper divisors of n is written
-h << k | l, the states of all half subsets are tabulated once, and each
-row (one high subset h joined with every low one) scores all 2^k low
-subsets at once: each gcd class is one int of 16- or 32-bit fields,
-one field per low subset, the narrower one the energy bound allows, so a
-row costs O(tau(n)) big-int operations rather than O(tau(n)) per subset.
-The items are validated once, not per subset, and memory is
-O(2^(tau(n)/2)). Both searches run in this process, whatever `jobs`
-says, and the ties are sorted, so reports are the same for any job
-count.
+On the spectral route a mask over the m proper divisors of n is written
+h << k | l, k = min(m, max(m // 2, 11)), and a row (high subset h with
+every low one) scores all 2^k low subsets at once: each gcd class is one
+int of 16- or 32-bit fields, one per low subset, the narrower one the
+energy bound allows, so a row costs O(tau(n)) big-int operations, and
+rows this wide (one up to m = 11) leave the interpreter little overhead.
+The items are validated once, and memory is O(tau(n) 2^k). Both searches
+run in this process, whatever `jobs` says, and the ties are sorted, so
+reports are the same for any job count.
 """
 
 from __future__ import annotations
@@ -53,22 +52,23 @@ class MaximizerReport:
             raise ValueError("a maximizer report needs at least one maximizer")
 
 
-def _upper_hull(points: list[tuple[int, int]]) -> list[int]:
-    """Indices of the upper convex hull of points with strictly increasing x.
+def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The upper convex hull of points with strictly increasing x, as a chain of points.
 
     Andrew's monotone chain, in exact integer arithmetic. A point is
     dropped only when it lies strictly below the chord of its neighbours,
     so collinear points and both end points stay, and the slopes of the
     successive hull edges never increase.
     """
-    hull: list[int] = []
-    for i, (x, y) in enumerate(points):
+    hull: list[tuple[int, int]] = []
+    for point in points:
+        x, y = point
         while len(hull) >= 2:
-            (ax, ay), (bx, by) = points[hull[-2]], points[hull[-1]]
+            (ax, ay), (bx, by) = hull[-2], hull[-1]
             if (bx - ax) * (y - ay) <= (by - ay) * (x - ax):
                 break
             hull.pop()
-        hull.append(i)
+        hull.append(point)
     return hull
 
 
@@ -102,15 +102,15 @@ def _prime_power_hulls(p: int, smax: int):
     for _ in range(smax):
         low //= p
         cross, bound = (p - 1) * low, low - 1
-        points = hull + [(P + up, g + top - cross * P) for P, g in hull]
-        hull = [points[i] for i in _upper_hull(points)]
-        # Each point beside its neighbours, the end points beside themselves.
-        left, right = [hull[0]] + hull, hull[1:] + [hull[-1]]
-        hull = [
-            (P, g)
-            for (_, prev), (P, g), (nP, ng) in zip(left, hull, right)
-            if g >= prev and ng - g <= bound * (nP - P)
-        ]
+        chain = _upper_hull(hull + [(P + up, g + top - cross * P) for P, g in hull])
+        # Slopes fall along the chain: the points kept run from the first whose
+        # right edge rises at most bound to the last whose left edge does not fall.
+        i, j = 0, len(chain) - 1
+        while i < j and chain[i + 1][1] - chain[i][1] > bound * (chain[i + 1][0] - chain[i][0]):
+            i += 1
+        while j > i and chain[j][1] < chain[j - 1][1]:
+            j -= 1
+        hull = chain[i : j + 1]
         up *= p
         yield hull
 
@@ -133,7 +133,7 @@ def _general_halves(n: int, items: tuple, k: int):
     so a state is the vector of x_g = count_g lambda_g over the gcd classes
     of n (the sum of the _class_columns of S), and a subset's energy is
     sum_g |x_g| with x_g = H_g + L_g, its high and low halves. Column g of
-    the low table is packed into one int of w-bit fields,
+    the low table is packed into one int of 2^k w-bit fields,
     P_g = sum_l (L_g(l) + 2^(w-1)) << w l. A row adds H_g to every field
     at once, Z = P_g + H_g ONES; the fields with bit w-1 clear hold the
     negative x_g, and masking them gives max(0, -x_g) per field with no
@@ -184,14 +184,14 @@ def _general_halves(n: int, items: tuple, k: int):
 def _best_subsets(n: int, items: tuple):
     """Best energy over the nonempty sets of divisors `items` of n, and all sets attaining it.
 
-    A mask is h << k | l with k = len(items) // 2. _general_halves(n, items, k)
-    validates the items once and returns row(h): the best energy of high
-    subset h joined with any low subset, and every l that attains it.
-    This only merges rows. The best starts at 0, the energy of mask 0,
-    the empty set; every nonempty set has positive energy, so mask 0
-    never stays among the ties. Ties come back sorted.
+    A mask is h << k | l, k = min(len(items), max(len(items) // 2, 11)).
+    _general_halves(n, items, k) validates the items once; row(h) gives the
+    best energy of high subset h with any low subset, and every l attaining
+    it. This merges the 2^(len(items) - k) rows. The best starts at 0, the
+    energy of mask 0, the empty set; every nonempty set has positive
+    energy, so mask 0 never stays among the ties. Ties come back sorted.
     """
-    k = len(items) // 2
+    k = min(len(items), max(len(items) // 2, 11))
     row = _general_halves(n, items, k)
     best, ties = 0, []
     for h in range(1 << (len(items) - k)):
@@ -211,8 +211,8 @@ def brute_force_emax_prime_power(order: PrimePowerOrder, jobs: int = 1) -> Maxim
     (sum p^x, energy) points, one exponent at a time, keeping only the
     points a later exponent can still make best: O(s) hull steps on at
     most 6 points; `examined` counts the nonempty divisor sets covered,
-    2^s - 1. Any s is accepted: 2^20 takes about 0.2 ms and 2^1000 about
-    25 ms. It runs in this process; `jobs` (an int >= 1) is accepted for
+    2^s - 1. Any s is accepted: 2^20 takes about 0.07 ms and 2^1000 about
+    15 ms. It runs in this process; `jobs` (an int >= 1) is accepted for
     compatibility.
     """
     check_int(jobs, "jobs", 1)
@@ -226,10 +226,10 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
 
     Returns the exact maximum and every attaining set, sorted; `examined`
     counts the 2^(tau(n)-1) - 1 sets covered. Caps: n <= 10^6 (checked
-    before n is factored) and 2^20 subsets. Each row (one high half of the
-    divisors with all 2^k low halves) costs O(tau(n)) operations on ints of
-    2^k fields of 16 or 32 bits, so the search takes
-    O(2^(tau(n)/2) tau(n)) big-int steps and memory O(2^(tau(n)/2) tau(n)).
+    before n is factored) and 2^20 subsets. Each row (a high half of the
+    divisors with all 2^k low halves, k as in _best_subsets) costs
+    O(tau(n)) operations on ints of 2^k 16- or 32-bit fields: the search
+    takes 2^(tau(n)-1-k) rows, one up to tau(n) = 12, and memory O(tau(n) 2^k).
     It runs in this process; `jobs` (an int >= 1) is accepted for
     compatibility.
     """

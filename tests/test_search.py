@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 from operator import add
 
@@ -266,9 +267,8 @@ def test_class_columns_match_hoelders_formula(n):
     assert [energy._class_column(n, d) for d in divisors(n)[:-1]] == units
 
 
-def _assert_rows_match_the_per_subset_sum(n, units):
-    """Every row of _general_halves against sum_g |x_g| over each low subset."""
-    k = len(units) // 2
+def _assert_rows_match_the_per_subset_sum(n, units, k):
+    """Every row of _general_halves, split at k, against sum_g |x_g| over each low subset."""
 
     def table(vectors):
         states = [(0,) * len(units[0])]
@@ -280,15 +280,45 @@ def _assert_rows_match_the_per_subset_sum(n, units):
     row = _general_halves(n, tuple(divisors(n)[:-1]), k)
     for h, u in enumerate(high):
         values = [sum(map(abs, map(add, u, v))) for v in low]
+        best = max(values)
         top, lows = row(h)
-        assert (top, list(lows)) == (
-            max(values), [l for l, v in enumerate(values) if v == max(values)]
-        ), h
+        assert (top, list(lows)) == (best, [l for l, v in enumerate(values) if v == best]), h
 
 
 @pytest.mark.parametrize("n", [12, 60, 64, 120, 7735])
 def test_general_rows_match_the_per_subset_sum(n):
-    _assert_rows_match_the_per_subset_sum(n, _general_units(n)[1])
+    # Every split, from one low subset per row (k = 0) to all in one row.
+    units = _general_units(n)[1]
+    for k in range(len(units) + 1):
+        _assert_rows_match_the_per_subset_sum(n, units, k)
+
+
+# A row spans 2^11 low subsets, or all of them: up to 12 divisors (11
+# proper) the search is one row, and at 16 divisors 2^(15 - 11) rows.
+@pytest.mark.parametrize("n, rows", [(2, 1), (12, 1), (60, 1), (72, 1), (120, 16), (210, 16)])
+def test_general_search_takes_few_wide_rows(monkeypatch, n, rows):
+    calls = []
+
+    def counting(*args):
+        row = _general_halves(*args)
+        return lambda h: calls.append(h) or row(h)
+
+    monkeypatch.setattr(search, "_general_halves", counting)
+    brute_force_emax_general(n)
+    assert calls == list(range(rows))
+
+
+def test_general_search_memory_at_the_subset_cap():
+    # 2^20 - 1 subsets of 576 in 2^9 rows of 2^11 16-bit fields: the class
+    # columns and the high table take well under a megabyte.
+    brute_force_emax_general(576)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        brute_force_emax_general(576)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # Sixteen divisors each: 120 has 8 tied maximizers, 210 is squarefree (no
@@ -347,30 +377,65 @@ def test_general_fields_are_the_narrowest_the_bound_allows(monkeypatch, n):
         assert (factor * bound < 2**bits) == (expected == word)
         scaled = {d: tuple(factor * x for x in u) for d, u in by_d.items()}
         monkeypatch.setattr(search, "_class_columns", lambda m, ds: [scaled[d] for d in ds])
-        words.clear()
-        _assert_rows_match_the_per_subset_sum(n, list(scaled.values()))
-        assert set(words) == {expected}
+        for k in range(len(scaled) + 1):
+            words.clear()
+            _assert_rows_match_the_per_subset_sum(n, list(scaled.values()), k)
+            assert set(words) == {expected}
 
 
 # ---------------------------------------------------------------- upper hull
 
 def test_upper_hull_keeps_collinear_and_end_points():
     # (1, 1), (2, 2) and (3, 3) lie on the chord from (0, 0) to (4, 4).
-    assert _upper_hull([(x, x) for x in range(5)]) == [0, 1, 2, 3, 4]
-    assert _upper_hull([(5, 7)]) == [0]
-    assert _upper_hull([(0, 3), (1, -9)]) == [0, 1]
+    line = [(x, x) for x in range(5)]
+    assert _upper_hull(line) == line
+    assert _upper_hull([(5, 7)]) == [(5, 7)]
+    assert _upper_hull([(0, 3), (1, -9)]) == [(0, 3), (1, -9)]
 
 
 def test_upper_hull_drops_points_strictly_below_it():
     points = [(0, 0), (1, 3), (2, 2), (3, 4), (4, 1), (5, 0), (6, -2)]
     # (2, 2) is below the chord (1, 3)-(3, 4) and (4, 1) below (3, 4)-(5, 0);
     # (5, 0) is on the chord (3, 4)-(6, -2) and stays.
-    assert _upper_hull(points) == [0, 1, 3, 5, 6]
+    assert _upper_hull(points) == [(0, 0), (1, 3), (3, 4), (5, 0), (6, -2)]
     # A later point can drop several: (7, -3) puts (6, -2) and then (5, 0)
     # strictly below the chords it makes.
-    assert _upper_hull(points + [(7, -3)]) == [0, 1, 3, 7]
-    assert _upper_hull([(0, 0), (1, -1), (2, 0)]) == [0, 2]
-    assert _upper_hull([(0, 0), (1, 1), (2, 1), (3, 1), (4, 0)]) == [0, 1, 2, 3, 4]
+    assert _upper_hull(points + [(7, -3)]) == [(0, 0), (1, 3), (3, 4), (7, -3)]
+    assert _upper_hull([(0, 0), (1, -1), (2, 0)]) == [(0, 0), (2, 0)]
+    flat = [(0, 0), (1, 1), (2, 1), (3, 1), (4, 0)]
+    assert _upper_hull(flat) == flat
+
+
+def _neighbour_filter(chain, bound):
+    """Chain points whose left edge does not fall and whose right edge rises by at most bound."""
+    left, right = [chain[0]] + chain, chain[1:] + [chain[-1]]
+    return [
+        (P, g)
+        for (_, prev), (P, g), (nP, ng) in zip(left, chain, right)
+        if g >= prev and ng - g <= bound * (nP - P)
+    ]
+
+
+@st.composite
+def upper_chains(draw):
+    """Points of strictly increasing x whose edge slopes, some fractions, some equal, never rise."""
+    x, y = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    edges = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 3)), max_size=7))
+    chain = [(x, y)]
+    for num, den in sorted(edges, key=lambda e: Fraction(-e[0], e[1])):
+        step = draw(st.integers(1, 3))
+        x, y = x + den * step, y + num * step
+        chain.append((x, y))
+    return chain
+
+
+@given(upper_chains(), st.integers(0, 12))
+def test_hull_cut_matches_the_neighbour_filter(chain, bound):
+    # The first step of a walk with smax = 2 prunes the chain _upper_hull
+    # returns at bound p - 1; the walk's arithmetic needs no prime p.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_upper_hull", lambda points: chain)
+        assert next(_prime_power_hulls(bound + 1, 2)) == _neighbour_filter(chain, bound)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
