@@ -20,14 +20,18 @@ every low one) scores all 2^k low subsets at once: each gcd class is one
 int of 16- or 32-bit fields, one per low subset, the narrower one the
 energy bound allows, so a row costs O(tau(n)) big-int operations, and
 rows this wide (one up to m = 11) leave the interpreter little overhead.
-The items are validated once, and memory is O(tau(n) 2^k). Both searches
-run in this process, whatever `jobs` says, and the ties are sorted, so
-reports are the same for any job count.
+The row's maximum is read by k halving folds, each keeping the larger
+half of every field in a few big-int operations, and its ties by
+bytes.find for the maximum's little-endian bytes at field-aligned
+offsets of the row's bytes: no Python loop runs over the subsets, and
+the result does not depend on the host's byte order. The items are
+validated once, and memory is O(tau(n) 2^k). Both searches run in this
+process, whatever `jobs` says, and the ties are sorted, so reports are
+the same for any job count.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from operator import add
 
@@ -138,30 +142,37 @@ def _general_halves(n: int, items: tuple, k: int):
     at once, Z = P_g + H_g ONES; the fields with bit w-1 clear hold the
     negative x_g, and masking them gives max(0, -x_g) per field with no
     carry across fields. As |x| = x + 2 max(0, -x), the row's energies
-    are sum_g H_g + lin + 2 neg, with lin = sum_g L_g packed once, and
-    they are read back as w-bit words. Every |x_g| and every energy stays
-    below the bound tau(n) * max_g sum_{d in items} |count_g c_{n/d}(g)|,
+    are sum_g H_g + lin + 2 neg, with lin = sum_g L_g packed once. Every
+    |x_g| and every energy stays at most
+    the bound tau(n) * max_g sum_{d in items} |count_g c_{n/d}(g)|,
     so the fields are exact while it is below 2^(w-1): w is 16 if that
     allows, else 32, and a bound of 2^31 or more raises. That
     cannot happen under the caps: |count_g c_{n/d}(g)| <= phi(n/g)
     gcd(n/d, g) <= n, and at most 2^20 subsets leave tau(n) <= 21, so the
     bound is at most tau(n)(tau(n) - 1) n <= 21 * 20 * 10^6 < 2^31. At
     n = 817216 = 2^6 113^2 (tau = 21) it is 34016976 (26 bits).
+
+    Bit w-1 of every energy field is thus clear, a free guard. A fold
+    splits the fields into a high half a and a low half b, and
+    ((a | guard) - b) & guard sets the guard bit exactly in the fields
+    where a >= b, with no borrow across fields; spread over the bits
+    below it, it selects the larger of a and b per field. k folds leave
+    the row's maximum, and _ties finds the fields equal to it.
     """
     units = _class_columns(n, items)
     bound = len(units[0]) * max(sum(map(abs, column)) for column in zip(*units))
     if bound >= 2**31:
         raise RuntimeError(f"energies of n = {n} reach {bound}, beyond a 31-bit field")
-    widths = ((16, "H"), (32, "I"))  # field bits, memoryview format
-    width, word = next((w, f) for w, f in widths if bound < 2 ** (w - 1))
+    width = 16 if bound < 2**15 else 32
 
     high = [(0,) * len(units[0])]
     for u in units[k:]:
         high += [tuple(map(add, v, u)) for v in high]
-    bias, ones = 2 ** (width - 1), 1
+    bias, ones, folds = 2 ** (width - 1), 1, []
     columns = [bias] * len(units[0])
     for i, u in enumerate(units[:k]):
         columns = [c | (c + x * ones) << (width << i) for c, x in zip(columns, u)]
+        folds.append((width << i, (1 << (width << i)) - 1, bias * ones))
         ones |= ones << (width << i)
     top = bias * ones
     lin = sum(columns) - len(columns) * top
@@ -173,12 +184,31 @@ def _general_halves(n: int, items: tuple, k: int):
             negative = (z & top) ^ top  # 2^(w-1) in each negative field
             marks = negative >> (width - 1)
             neg += negative - (z & ((marks << width) - marks))
-        packed = lin + sum(high[h]) * ones + (neg << 1)
-        values = memoryview(packed.to_bytes(width // 8 << k, sys.byteorder)).cast(word)
-        best = max(values)
-        return best, (l for l, v in enumerate(values) if v == best)
+        packed = best = lin + sum(high[h]) * ones + (neg << 1)
+        for shift, low, guard in reversed(folds):
+            a, b = best >> shift, best & low
+            ge = ((a | guard) - b) & guard  # 2^(w-1) in each field where a >= b
+            best = b ^ (a ^ b) & (ge - (ge >> (width - 1)))
+        return best, _ties(packed, best, width // 8, 1 << k)
 
     return row
+
+
+def _ties(packed: int, best: int, size: int, count: int):
+    """The indices of the `count` `size`-byte fields of packed equal to best, ascending.
+
+    The fields are read little-endian, field l at bytes size*l onwards,
+    so the indices do not depend on sys.byteorder. Each hit is one
+    C-level bytes.find; a hit off a field boundary straddles two fields
+    and is skipped to the next boundary. Nothing is converted until the
+    first index is asked for.
+    """
+    data, field = packed.to_bytes(size * count, "little"), best.to_bytes(size, "little")
+    i = data.find(field)
+    while i >= 0:
+        if i % size == 0:
+            yield i // size
+        i = data.find(field, i + size - i % size)
 
 
 def _best_subsets(n: int, items: tuple):
@@ -228,10 +258,11 @@ def brute_force_emax_general(n: int, jobs: int = 1) -> MaximizerReport:
     counts the 2^(tau(n)-1) - 1 sets covered. Caps: n <= 10^6 (checked
     before n is factored) and 2^20 subsets. Each row (a high half of the
     divisors with all 2^k low halves, k as in _best_subsets) costs
-    O(tau(n)) operations on ints of 2^k 16- or 32-bit fields: the search
-    takes 2^(tau(n)-1-k) rows, one up to tau(n) = 12, and memory O(tau(n) 2^k).
-    It runs in this process; `jobs` (an int >= 1) is accepted for
-    compatibility.
+    O(tau(n)) operations on ints of 2^k 16- or 32-bit fields, and its
+    maximum and ties are read with k halving folds and an aligned byte
+    search, not field by field: the search takes 2^(tau(n)-1-k) rows, one
+    up to tau(n) = 12, and memory O(tau(n) 2^k). It runs in this process;
+    `jobs` (an int >= 1) is accepted for compatibility.
     """
     check_int(n, "n", 2)
     check_int(jobs, "jobs", 1)

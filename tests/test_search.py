@@ -1,6 +1,7 @@
 """Brute-force enumeration, closed-form verification and the reduction identity."""
 
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import partial
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -35,6 +37,7 @@ from icgraph.energy import SPECTRAL_N_CAP
 from icgraph.search import (
     _best_subsets,
     _general_halves,
+    _ties,
     _prime_power_hulls,
     _report,
     _upper_hull,
@@ -332,6 +335,25 @@ def test_general_search_at_sixteen_divisors_matches_a_per_subset_scan(n, ties):
     assert report == MaximizerReport(n, best, tuple(maximizers), 2**15 - 1)
 
 
+# The sweep's stored maxima: every n <= 300 with 6, 12 or 16 divisors, as
+# benchmarks/oracles.general_maximum enumerated them with sympy and a Gray
+# code, sharing no code with the spectral kernel. The file is only read here.
+GENERAL_MAXIMA = json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "general_maxima.json").read_text()
+)
+
+
+@pytest.mark.parametrize("n", sorted(map(int, GENERAL_MAXIMA)))
+def test_general_search_matches_the_stored_oracle_maxima(n):
+    stored = GENERAL_MAXIMA[str(n)]
+    report = brute_force_emax_general(n)
+    assert (report.emax, report.maximizers, report.examined) == (
+        int(stored["emax"]),
+        tuple(map(tuple, stored["maximizers"])),
+        stored["examined"],
+    )
+
+
 def test_general_fields_are_exact_up_to_the_bound(monkeypatch):
     # Scaling every class column by f scales every energy by f. The largest
     # f that keeps the bound under 2^31 still gives exact rows; f + 1 raises.
@@ -355,32 +377,97 @@ def test_general_fields_are_exact_up_to_the_bound(monkeypatch):
 @pytest.mark.parametrize("n", [6, 12])
 def test_general_fields_are_the_narrowest_the_bound_allows(monkeypatch, n):
     # Scaling every class column by f scales the bound by f: the largest f
-    # that keeps it under 2^15 reads the rows back as 16-bit fields, and
-    # f + 1 (a bound at or past 2^15) as 32-bit ones.
-    bits, word, wider = 15, "H", "I"
+    # that keeps it under 2^15 reads the rows back as 2-byte (16-bit)
+    # fields, and f + 1 (a bound at or past 2^15) as 4-byte ones.
+    bits, size, wider = 15, 2, 4
     counts, units = _general_units(n)
     bound = len(counts) * max(sum(map(abs, column)) for column in zip(*units))
     f = (2**bits - 1) // bound
     by_d = dict(zip(divisors(n), units))
-    words = []
+    sizes = []
 
-    class Spy:
-        def __init__(self, data):
-            self.view = memoryview(data)
+    def spy(packed, best, field_size, count):
+        sizes.append(field_size)
+        return _ties(packed, best, field_size, count)
 
-        def cast(self, fmt):
-            words.append(fmt)
-            return self.view.cast(fmt)
-
-    monkeypatch.setattr(search, "memoryview", Spy, raising=False)
-    for factor, expected in ((f, word), (f + 1, wider)):
-        assert (factor * bound < 2**bits) == (expected == word)
+    monkeypatch.setattr(search, "_ties", spy)
+    for factor, expected in ((f, size), (f + 1, wider)):
+        assert (factor * bound < 2**bits) == (expected == size)
         scaled = {d: tuple(factor * x for x in u) for d, u in by_d.items()}
         monkeypatch.setattr(search, "_class_columns", lambda m, ds: [scaled[d] for d in ds])
         for k in range(len(scaled) + 1):
-            words.clear()
+            sizes.clear()
             _assert_rows_match_the_per_subset_sum(n, list(scaled.values()), k)
-            assert set(words) == {expected}
+            assert set(sizes) == {expected}
+
+
+@pytest.mark.parametrize("n", [12, 60, 120])
+def test_general_rows_do_not_depend_on_the_byte_order(monkeypatch, n):
+    # The rows are read as little-endian bytes whatever the host's order.
+    monkeypatch.setattr(sys, "byteorder", "big")
+    units = _general_units(n)[1]
+    for k in range(len(units) + 1):
+        _assert_rows_match_the_per_subset_sum(n, units, k)
+
+
+def _packed(values, size):
+    """values as consecutive little-endian size-byte fields of one int, value l at field l."""
+    return sum(v << (8 * size * l) for l, v in enumerate(values))
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_ties_skip_a_match_that_straddles_two_fields(size):
+    # The needle's bytes 01 02 .. sit across fields 0 and 1, half a field
+    # in, before the aligned copy in field 2.
+    needle = bytes(range(1, size + 1))
+    half = size // 2
+    data = bytes(half) + needle + bytes(half) + needle
+    values = [int.from_bytes(data[l * size : (l + 1) * size], "little") for l in range(3)]
+    best = int.from_bytes(needle, "little")
+    assert values[:2] != [best, best] and values[2] == best
+    assert data.find(needle) == half
+    assert list(_ties(_packed(values, size), best, size, 3)) == [2]
+
+
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("count", [1, 2, 8, 2**11])
+def test_ties_yield_every_field_when_all_tie(size, count):
+    for best in (0, 1, 0x7F7F, 2 ** (8 * size - 1) - 1):
+        packed = _packed([best] * count, size)
+        assert list(_ties(packed, best, size, count)) == list(range(count))
+
+
+def test_general_rows_with_constant_lows_tie_in_every_field(monkeypatch):
+    # Zero columns below the split leave every low subset of a row at the
+    # high half's energy, so all 2^k fields of each row tie.
+    ones = [(3, -5, 7), (-2, 2, 0), (1, 1, -4)]
+    for k in range(4):
+        units = [(0, 0, 0)] * k + ones
+        monkeypatch.setattr(search, "_class_columns", lambda m, ds: units)
+        row = _general_halves(2, (1,), k)
+        for h in range(1 << len(ones)):
+            top, lows = row(h)
+            assert list(lows) == list(range(1 << k))
+        _assert_rows_match_the_per_subset_sum(2, units, k)
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(-300, 300), min_size=3, max_size=3).map(tuple),
+            min_size=m,
+            max_size=m,
+        )
+    ),
+    st.sampled_from([1, 50]),
+)
+def test_general_rows_match_the_per_subset_sum_on_random_columns(units, factor):
+    # A factor of 50 takes many bounds past 2^15, and the rows to 32-bit fields.
+    units = [tuple(factor * x for x in u) for u in units]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_class_columns", lambda m, ds: units)
+        for k in range(len(units) + 1):
+            _assert_rows_match_the_per_subset_sum(2, units, k)
 
 
 # ---------------------------------------------------------------- upper hull
