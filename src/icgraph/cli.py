@@ -50,7 +50,6 @@ EXIT_RESOURCE = 2
 EXIT_DISCREPANCY = 3
 
 PMAX_CAP = 10**4  # verify sieves p <= pmax before sweeping
-SMAX_CAP = 20  # verify sweeps s = 1..smax for each prime
 OUTPUT_BITS_CAP = 10**7  # numbers printed x bits of p^s, checked before p is tested
 STR_BLOCK_BITS = 14285  # bits of 10**4300, CPython's default str() digit limit
 
@@ -91,20 +90,28 @@ def _flat(value) -> str:
     return str(value)
 
 
+def _output_charge(p: int, s: int, entries: int) -> tuple[int, int]:
+    """(bits, charge) of `entries` printed numbers up to p**s, against OUTPUT_BITS_CAP.
+
+    bits = s * bit_length(p - 1) + 1 bounds their bits (exactly at p = 2)
+    without computing p**s or testing p. str() is quadratic in a number's length,
+    so each number is charged bits * ceil(bits / STR_BLOCK_BITS).
+    """
+    bits = s * (p - 1).bit_length() + 1
+    return bits, entries * bits * -(-bits // STR_BLOCK_BITS)
+
+
 def _order(p: int, s: int, entries: int) -> PrimePowerOrder:
     """PrimePowerOrder(p, s), refused first past the output cap or the primality bound.
 
-    s * bit_length(p - 1) + 1 bounds the bits of a number up to p**s
-    (exactly at p = 2) without computing p**s or testing p. str() is
-    quadratic in a number's length, so each of the `entries` numbers is
-    charged bits * ceil(bits / STR_BLOCK_BITS).
-    No p >= MILLER_RABIN_BOUND can be proven prime, so it is refused
-    before any primality test. An out-of-range p or s is left to
+    The `entries` numbers printed are charged by _output_charge, before
+    p is tested. No p >= MILLER_RABIN_BOUND can be proven prime, so it is
+    refused before any primality test. An out-of-range p or s is left to
     PrimePowerOrder's checks.
     """
     if p >= 2 and s >= 1:
-        bits = s * (p - 1).bit_length() + 1
-        if entries * bits * -(-bits // STR_BLOCK_BITS) > OUTPUT_BITS_CAP:
+        bits, charge = _output_charge(p, s, entries)
+        if charge > OUTPUT_BITS_CAP:
             raise ResourceLimitError(
                 f"{entries} numbers of up to {bits} bits exceed the output cap of "
                 f"{OUTPUT_BITS_CAP} bits"
@@ -226,10 +233,11 @@ def cmd_emax(args):
     for t, ds in zip(tuples, results["maximizer_divisor_sets"]):
         lines.append(f"maximizer a = {format_ints(t)}  D = {format_ints(ds)}")
     if args.brute:
-        from .search import brute_force_emax_prime_power
+        from .search import _discrepancies, brute_force_emax_prime_power
 
         report = brute_force_emax_prime_power(order)
-        agreement = report.emax == value and sorted(report.maximizers) == sorted(sets)
+        keys = map(sum, report.maximizers)
+        agreement = not _discrepancies(order, (value, tuples), report.emax, keys)
         results["brute_emax"] = str(report.emax)
         results["brute_maximizer_divisor_sets"] = [
             [str(d) for d in ds] for ds in report.maximizers
@@ -329,23 +337,28 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    from .search import _discrepancies, _prime_power_hulls, _report
+    from .search import _discrepancies, _hull_maximum, _prime_power_hulls
 
-    if args.smax > SMAX_CAP:
-        raise ResourceLimitError(f"--smax {args.smax} exceeds the enumeration cap {SMAX_CAP}")
     if args.pmax > PMAX_CAP:
         raise ResourceLimitError(f"--pmax {args.pmax} exceeds the sweep cap {PMAX_CAP}")
     if args.pmax < 2:
         raise UsageError(f"--pmax must be >= 2, got {args.pmax}")
     if args.smax < 1:
         raise UsageError(f"--smax must be >= 1, got {args.smax}")
+    primes, smax = primes_up_to(args.pmax), args.smax
+    # Each prime's smax cases are charged as emin --p p --s smax prints them.
+    if sum(_output_charge(p, smax, smax)[1] for p in primes) > OUTPUT_BITS_CAP:
+        raise ResourceLimitError(
+            f"--smax {smax} exceeds the output cap of {OUTPUT_BITS_CAP} bits "
+            f"for the primes up to {args.pmax}"
+        )
     cases, lines = [], []
     rows = [["p", "s", "ok", "emax"]]
-    for p in primes_up_to(args.pmax):
-        for s, hull in enumerate(_prime_power_hulls(p, args.smax), 1):
-            order = PrimePowerOrder(p, s)
+    for p in primes:
+        for s, hull in enumerate(_prime_power_hulls(p, smax), 1):
+            order = PrimePowerOrder._proven(p, s)  # the sieve proved p prime
             closed = emax_closed(order)
-            problems = _discrepancies(order, closed, _report(order, args.smax, hull))
+            problems = _discrepancies(order, closed, *_hull_maximum(p, s, smax, hull))
             ok, value = not problems, closed[0]
             cases.append(
                 {"p": str(p), "s": s, "ok": ok, "emax": str(value), "problems": problems}

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .model import PrimePowerOrder, check_divisor_set, check_exponent_tuple, delta_inverse
+from .model import PrimePowerOrder, check_divisor_set, check_exponent_tuple
 from .numtheory import ResourceLimitError, _shown, check_int, check_prime, divisors, ramanujan_sum
 
 if TYPE_CHECKING:  # fractions is imported only by the functions that build one
@@ -185,8 +186,9 @@ def emax_closed(order: PrimePowerOrder) -> tuple[int, list[tuple[int, ...]]]:
     Odd s:  ((s+1)(p^2-1)p^s + 2(p^(s+1)-1)) / (p+1)^2,
     Even s: (s(p^2-1)p^s + 2(2p^(s+1)-p^(s-1)+p^2-p-1)) / (p+1)^2.
     Both divisions are exact (checked). The maximizers are the tuples of
-    the canonical_maximizer delta vectors, in that order. s = 1 gives
-    2(p-1) with the sole divisor set {1}, returned as the singleton tuple (0).
+    the canonical_maximizer delta vectors, in that order, built from
+    them unchecked: their partial sums from 0. s = 1 gives 2(p-1) with
+    the sole divisor set {1}, returned as the singleton tuple (0).
     """
     p, s = order.p, order.s
     if s % 2:
@@ -200,7 +202,7 @@ def emax_closed(order: PrimePowerOrder) -> tuple[int, list[tuple[int, ...]]]:
         raise RuntimeError(
             f"maximal-energy closed form did not divide exactly for p={p}, s={s}"
         )
-    return value, [delta_inverse(d) for d in canonical_maximizer(order)] or [(0,)]
+    return value, [tuple(accumulate(d, initial=0)) for d in canonical_maximizer(order)] or [(0,)]
 
 
 def classify_energy(n: int, energy: int) -> str:

@@ -14,6 +14,7 @@ here; divisor sets are canonically sorted tuples of ints.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .numtheory import _shown, check_int, check_prime
@@ -22,7 +23,7 @@ from .numtheory import _shown, check_int, check_prime
 class PrimePowerOrder(NamedTuple("PrimePowerOrder", [("p", int), ("s", int)])):
     """Graph order n = p^s with p prime and s >= 1.
 
-    An immutable (p, s) tuple; every way to build one checks p and s.
+    An immutable (p, s) tuple; every public way to build one checks p and s.
     """
 
     __slots__ = ()
@@ -36,6 +37,12 @@ class PrimePowerOrder(NamedTuple("PrimePowerOrder", [("p", int), ("s", int)])):
     def _make(cls, iterable: Iterable[int]) -> PrimePowerOrder:
         # namedtuple's _make (and _replace, which calls it) skip __new__.
         return cls(*iterable)
+
+    @classmethod
+    def _proven(cls, p: int, s: int) -> PrimePowerOrder:
+        # For a caller that has proven p prime and s an int >= 1 itself,
+        # such as verify over its sieve: nothing is checked again.
+        return tuple.__new__(cls, (p, s))
 
     @property
     def n(self) -> int:
@@ -98,11 +105,7 @@ def delta(a: Sequence[int]) -> tuple[int, ...]:
 
 def delta_inverse(d: Sequence[int]) -> tuple[int, ...]:
     """Admissible tuple with the given delta vector: partial sums from 0."""
-    d = check_delta(d)
-    out = [0]
-    for x in d:
-        out.append(out[-1] + x)
-    return tuple(out)
+    return tuple(accumulate(check_delta(d), initial=0))
 
 
 def reverse_complement(a: Sequence[int]) -> tuple[int, ...]:

@@ -33,7 +33,8 @@ the same for any job count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from itertools import accumulate
+from operator import add, mul, sub
 
 from .energy import _check_scan_cap, _class_columns, emax_closed
 from .model import PrimePowerOrder, divisor_set_of
@@ -119,15 +120,29 @@ def _prime_power_hulls(p: int, smax: int):
         yield hull
 
 
+def _divisor_sets(p: int, s: int, keys) -> tuple[tuple[int, ...], ...]:
+    """The divisor sets of p^s that sum to the P in keys, sorted.
+
+    A set's exponents are the nonzero base-p digits of its sum P.
+    """
+    return tuple(sorted(tuple(p**x for x in range(s) if P // p**x % p) for P in keys))
+
+
+def _hull_maximum(p: int, s: int, smax: int, hull: list[tuple[int, int]]):
+    """The maximal energy of p^s and the sum P = sum p^x of each maximizer's set.
+
+    Both are read off the hull _prime_power_hulls(p, smax) yields after exponent s - 1.
+    """
+    best = max(g for _, g in hull)
+    return 2 * (p - 1) * best // p ** (smax - s), [P for P, g in hull if g == best]
+
+
 def _report(order: PrimePowerOrder, smax: int, hull: list[tuple[int, int]]) -> MaximizerReport:
     """The report of p^s from the hull _prime_power_hulls(p, smax) yields after exponent s - 1."""
     p, s = order.p, order.s
-    best = max(g for _, g in hull)
-    maximizers = sorted(
-        tuple(p**x for x in range(s) if P // p**x % p) for P, g in hull if g == best
-    )
-    emax = 2 * (p - 1) * best // p ** (smax - s)
-    return MaximizerReport(n=order.n, emax=emax, maximizers=tuple(maximizers), examined=2**s - 1)
+    emax, keys = _hull_maximum(p, s, smax, hull)
+    maximizers = _divisor_sets(p, s, keys)
+    return MaximizerReport(n=order.n, emax=emax, maximizers=maximizers, examined=2**s - 1)
 
 
 def _general_halves(n: int, items: tuple, k: int):
@@ -284,28 +299,42 @@ def verify_theorem(order: PrimePowerOrder, jobs: int = 1) -> tuple[bool, list[st
 
     True iff the enumerated maximum equals emax_closed AND the enumerated
     maximizer sets are exactly the divisor sets of the closed form's
-    tuples. Discrepancies are returned as messages, never raised. The
-    search covers all 2^s - 1 divisor sets through the upper hull of
-    their (sum p^x, energy) points, in this process; `jobs` (an int >= 1)
-    goes to brute_force_emax_prime_power.
+    tuples, compared as ints by _discrepancies. Discrepancies are returned
+    as messages, never raised. The search covers all 2^s - 1 divisor sets
+    through the upper hull of their (sum p^x, energy) points, in this
+    process; `jobs` (an int >= 1) goes to brute_force_emax_prime_power.
     """
     report = brute_force_emax_prime_power(order, jobs=jobs)
-    problems = _discrepancies(order, emax_closed(order), report)
+    keys = map(sum, report.maximizers)
+    problems = _discrepancies(order, emax_closed(order), report.emax, keys)
     return not problems, problems
 
 
-def _discrepancies(order: PrimePowerOrder, closed, report: MaximizerReport) -> list[str]:
-    """How report differs from closed = emax_closed(order), as messages; [] when it agrees."""
+def _discrepancies(order: PrimePowerOrder, closed, emax: int, keys) -> list[str]:
+    """How a search differs from closed = emax_closed(order), as messages; [] when it agrees.
+
+    The one comparison of a search with the closed form, on ints: the
+    search's emax, and its maximizers as keys, the sums P = sum p^x that
+    name divisor sets of p^s one to one, against the closed form's
+    increasing tuples a mapped to sum_{x in a} p^x, each power the last
+    times p^gap. Divisor sets are built only for a message.
+    """
+    p, s = order.p, order.s
     value, tuples = closed
-    expected = tuple(sorted(divisor_set_of(t, order) for t in tuples))
+    keys = sorted(keys)
+    expected = sorted(
+        sum(accumulate(map(p.__pow__, map(sub, t[1:], t)), mul, initial=p ** t[0]))
+        for t in tuples
+    )
     problems: list[str] = []
-    if report.emax != value:
+    if emax != value:
         problems.append(
-            f"{order}: closed form gives {_shown(value)}, enumeration gives {_shown(report.emax)}"
+            f"{order}: closed form gives {_shown(value)}, enumeration gives {_shown(emax)}"
         )
-    if report.maximizers != expected:
+    if keys != expected:
         problems.append(
-            f"{order}: closed-form maximizers {_shown(expected)} != enumerated "
-            f"{_shown(report.maximizers)}"
+            f"{order}: closed-form maximizers "
+            f"{_shown(tuple(sorted(divisor_set_of(t, order) for t in tuples)))} != enumerated "
+            f"{_shown(_divisor_sets(p, s, keys))}"
         )
     return problems

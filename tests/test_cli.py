@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from icgraph import cli, search
+from icgraph import cli, numtheory, search
 from icgraph.cli import UsageError, _int_list, format_ints
 from icgraph.numtheory import MILLER_RABIN_BASES, MILLER_RABIN_BOUND
 
@@ -278,8 +278,26 @@ def test_resource_caps_exit_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["emax", "--p", "2", "--s", str(s + 1), "--brute"])
     assert (code, out) == (2, "")
     assert "output cap" in err
-    code, _, err = run_cli(capsys, ["verify", "--pmax", "2", "--smax", "21"])
-    assert code == 2
+    # verify charges each prime's smax cases as emin --p p --s smax prints
+    # them: smax numbers of up to smax + 1 bits at p = 2, so 3161 is admitted
+    # and 3162 refused, before any hull walk.
+    smax = 3161
+    assert smax * (smax + 1) <= cli.OUTPUT_BITS_CAP < (smax + 1) * (smax + 2)
+    walks = []
+
+    def no_walk(p, smax):
+        walks.append((p, smax))
+        return iter(())
+
+    monkeypatch.setattr(search, "_prime_power_hulls", no_walk)
+    code, out, _ = run_cli(capsys, ["verify", "--pmax", "2", "--smax", str(smax)])
+    assert (code, out, walks) == (0, "all 0 cases agree\n", [(2, smax)])
+    code, out, err = run_cli(capsys, ["verify", "--pmax", "2", "--smax", str(smax + 1)])
+    assert (code, out, walks) == (2, "", [(2, smax)])
+    assert err == (
+        "resource limit: --smax 3162 exceeds the output cap of 10000000 bits "
+        "for the primes up to 2\n"
+    )
 
 
 def test_verify_caps_pmax_before_the_sieve(capsys, monkeypatch):
@@ -601,9 +619,54 @@ def test_oracle_disagreement_exits_3(capsys, monkeypatch):
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
     # cli imports the closed-form check when verify runs, so the fault goes into search.
-    monkeypatch.setattr(search, "_discrepancies", lambda order, closed, report: ["emax mismatch"])
+    monkeypatch.setattr(search, "_discrepancies", lambda order, closed, emax, keys: ["mismatch"])
     code, out, _ = run_cli(capsys, ["verify", "--pmax", "2", "--smax", "1"])
     assert code == 3
+
+
+def _swap_first_maximizer(real):
+    # The right maximum, with the first maximizer tuple swapped for (0,).
+    def patched(order):
+        value, tuples = real(order)
+        return value, [(0,)] + tuples[1:]
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (
+            ["verify", "--pmax", "3", "--smax", "3"],
+            "p=2 s=1 emax=2 ok\n"
+            "p=2 s=2 emax=6 MISMATCH\n"
+            "  2^2: closed-form maximizers ((1,),) != enumerated ((1, 2),)\n"
+            "p=2 s=3 emax=14 MISMATCH\n"
+            "  2^3: closed-form maximizers ((1,), (1, 2, 4)) != enumerated ((1, 2, 4), (1, 4))\n"
+            "p=3 s=1 emax=4 ok\n"
+            "p=3 s=2 emax=16 MISMATCH\n"
+            "  3^2: closed-form maximizers ((1,),) != enumerated ((1, 3),)\n"
+            "p=3 s=3 emax=64 MISMATCH\n"
+            "  3^3: closed-form maximizers ((1,),) != enumerated ((1, 9),)\n"
+            "6 cases, 4 failures\n",
+        ),
+        (
+            ["emax", "--p", "2", "--s", "5", "--brute"],
+            "order n = 2^5 = 32\n"
+            "emax = 78\n"
+            "maximizer a = (0)  D = (1)\n"
+            "maximizer a = (0,1,3,4)  D = (1,2,8,16)\n"
+            "brute force over 31 sets: emax = 78\n"
+            "agreement = NO\n",
+        ),
+    ],
+    ids=["verify", "emax-brute"],
+)
+def test_a_wrong_maximizer_with_the_right_maximum_exits_3(capsys, monkeypatch, argv, stdout):
+    # Stdout captured from the divisor-set comparison; the integer
+    # comparison must print the same bytes.
+    monkeypatch.setattr(cli, "emax_closed", _swap_first_maximizer(cli.emax_closed))
+    assert run_cli(capsys, argv)[:2] == (3, stdout)
 
 
 def test_verify_walks_one_hull_per_prime(capsys, monkeypatch):
@@ -620,11 +683,15 @@ def test_verify_walks_one_hull_per_prime(capsys, monkeypatch):
     closed = counting("closed", cli.emax_closed)
     monkeypatch.setattr(cli, "emax_closed", closed)
     monkeypatch.setattr(search, "emax_closed", closed)
+    primality, is_prime = [], numtheory.is_prime
+    monkeypatch.setattr(numtheory, "is_prime", lambda n: primality.append(n) or is_prime(n))
     code, out, _ = run_cli(capsys, ["verify", "--pmax", "100", "--smax", "20"])
     assert (code, out.splitlines()[-1]) == (0, "all 500 cases agree")
     # 25 primes up to 100, one hull step per exponent, one closed form per case;
     # a search per case would take 25 * (1 + 2 + ... + 20) steps.
     assert calls == {"hull": 25 * 20, "closed": 25 * 20}
+    # The sieve proves each prime; a checked order per case tested it 20 times.
+    assert len(primality) <= len(set(primality)) <= 25
 
 
 # ---------------------------------------------------------------- process level

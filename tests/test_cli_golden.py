@@ -10,8 +10,9 @@ Only its emax and verify --help entries were captured again, in process
 with COLUMNS=80, when the no-op --jobs option was removed, and its
 emax --brute entries past s = 20 were added when the search took any s.
 The verify discrepancy entries name the fault they inject; it moved from
-verify_theorem to the closed-form check verify now calls, with the
-stored stdout unchanged.
+verify_theorem to the closed-form check verify now calls, and then to
+that check's integer form, the one comparison every caller goes
+through, each time with the stored stdout unchanged.
 """
 
 import json
@@ -41,7 +42,7 @@ def _emax_plus_two(real):
 PATCHES = {
     "emax_closed": (cli, _emax_plus_two(cli.emax_closed)),
     "energy_prime_power": (cli, lambda order, a: 4),
-    "_discrepancies": (search, lambda order, closed, report: ["emax mismatch"]),
+    "_discrepancies": (search, lambda order, closed, emax, keys: ["emax mismatch"]),
 }
 
 CASES = [dict(entry, exit=0, system_exit=False, patch=None) for entry in CATALOG]

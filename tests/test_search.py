@@ -36,7 +36,9 @@ from icgraph import (
 from icgraph.energy import SPECTRAL_N_CAP
 from icgraph.search import (
     _best_subsets,
+    _discrepancies,
     _general_halves,
+    _hull_maximum,
     _ties,
     _prime_power_hulls,
     _report,
@@ -337,10 +339,15 @@ def test_general_search_at_sixteen_divisors_matches_a_per_subset_scan(n, ties):
 
 # The sweep's stored maxima: every n <= 300 with 6, 12 or 16 divisors, as
 # benchmarks/oracles.general_maximum enumerated them with sympy and a Gray
-# code, sharing no code with the spectral kernel. The file is only read here.
-GENERAL_MAXIMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "general_maxima.json").read_text()
-)
+# code, sharing no code with the spectral kernel. The same oracle gave the
+# maxima at the subset cap: two n <= 10^6 drawn (seed 26) for each tau(n)
+# of 18, 20 and 21, the only one of 19 (2^18), and 576 and 817216. Both
+# files are only read here.
+TESTS = Path(__file__).resolve().parent
+GENERAL_MAXIMA = {
+    **json.loads((TESTS.parent / "benchmarks" / "data" / "general_maxima.json").read_text()),
+    **json.loads((TESTS / "data" / "general_maxima_at_cap.json").read_text()),
+}
 
 
 @pytest.mark.parametrize("n", sorted(map(int, GENERAL_MAXIMA)))
@@ -586,6 +593,7 @@ def test_one_walk_reads_off_every_exponent_up_to_smax(p):
             expected = tuple(sorted(divisor_set_of(a, order) for a in tuples))
             report = _report(order, smax, hull)
             assert (report.emax, report.maximizers) == (value, expected), (p, s, smax)
+            assert _discrepancies(order, (value, tuples), *_hull_maximum(p, s, smax, hull)) == []
 
 
 def test_items_are_validated_once_per_search_not_per_subset(monkeypatch):
@@ -652,20 +660,24 @@ def test_verify_theorem_grid(p):
 def test_verify_theorem_returns_discrepancies_past_the_digit_limit(monkeypatch):
     # With any s accepted, a report's numbers can pass the int-to-str digit
     # limit; a discrepancy must still come back as a message, not raise.
-    big = 10**5000
-    report = MaximizerReport(n=8, emax=big, maximizers=((big,),), examined=7)
+    # The wrong maximizer is a real divisor set, {p^(s-1)}, so the sum the
+    # comparison keys it by decodes back to it.
+    order = PrimePowerOrder(10007, 1077)
+    top = 10007**1076  # 4305 digits
+    report = MaximizerReport(n=order.n, emax=top, maximizers=((top,),), examined=2**1077 - 1)
     monkeypatch.setattr(search, "brute_force_emax_prime_power", lambda order, jobs: report)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        ok, problems = verify_theorem(PrimePowerOrder(2, 3))
+        ok, problems = verify_theorem(order)
     finally:
         sys.set_int_max_str_digits(limit)
-    shown = "10000000000000000000\u2026 (5001 digits)"
-    assert (ok, problems) == (False, [
-        f"2^3: closed form gives 14, enumeration gives {shown}",
-        f"2^3: closed-form maximizers ((1, 2, 4), (1, 4)) != enumerated (({shown},),)",
-    ])
+    shown = "21232257298627579712\u2026 (4305 digits)"
+    emax = "22899822257608928036\u2026 (4312 digits)"
+    assert len(problems) == 2 and not ok
+    assert problems[0] == f"10007^1077: closed form gives {emax}, enumeration gives {shown}"
+    assert problems[1].startswith("10007^1077: closed-form maximizers ((1, 100140049, ")
+    assert problems[1].endswith(f") != enumerated (({shown},),)")
 
 
 # ---------------------------------------------------------------- reduction identity
