@@ -39,7 +39,7 @@ from .energy import (
     spectrum_gcd_graph,
 )
 from .model import PrimePowerOrder, check_divisor_set, delta_inverse, divisor_set_of
-from .numtheory import MILLER_RABIN_BOUND, ResourceLimitError, factorize, primes_up_to
+from .numtheory import ResourceLimitError, factorize, primes_up_to
 
 # search and transform (and json, csv) load only in the commands that use
 # them, so a command pays at start-up for its own layers alone.
@@ -102,12 +102,9 @@ def _output_charge(p: int, s: int, entries: int) -> tuple[int, int]:
 
 
 def _order(p: int, s: int, entries: int) -> PrimePowerOrder:
-    """PrimePowerOrder(p, s), refused first past the output cap or the primality bound.
+    """PrimePowerOrder(p, s), refused first past the output cap.
 
-    The `entries` numbers printed are charged by _output_charge, before
-    p is tested. No p >= MILLER_RABIN_BOUND can be proven prime, so it is
-    refused before any primality test. An out-of-range p or s is left to
-    PrimePowerOrder's checks.
+    `entries` numbers are charged (_output_charge) before PrimePowerOrder checks p and s.
     """
     if p >= 2 and s >= 1:
         bits, charge = _output_charge(p, s, entries)
@@ -116,10 +113,6 @@ def _order(p: int, s: int, entries: int) -> PrimePowerOrder:
                 f"{entries} numbers of up to {bits} bits exceed the output cap of "
                 f"{OUTPUT_BITS_CAP} bits"
             )
-    if p >= MILLER_RABIN_BOUND:
-        raise ResourceLimitError(
-            f"--p {p} is not below {MILLER_RABIN_BOUND}, the bound of exact primality"
-        )
     return PrimePowerOrder(p, s)
 
 

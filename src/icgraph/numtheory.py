@@ -9,11 +9,11 @@ and everything here is a pure function.
 Every call ends in bounded time. is_prime is deterministic Miller-Rabin
 on the primes 2..41 as bases, exact below MILLER_RABIN_BOUND; a larger
 n that base 2 does not prove composite raises ResourceLimitError rather
-than being reported prime. factorize trial-divides up to
-TRIAL_DIVISION_BOUND and keeps a leftover cofactor only when it is a
-prime or a power of one; otherwise it raises ResourceLimitError. Prime
-powers are never factored by the rest of the library; their (p, s)
-shape is given explicitly.
+than being reported prime; check_prime refuses p >= MILLER_RABIN_BOUND
+before any test. factorize trial-divides up to TRIAL_DIVISION_BOUND and
+keeps a leftover cofactor only when it is a power of a prime below that
+bound; otherwise it raises ResourceLimitError. Prime powers are never
+factored by the rest of the library; their (p, s) shape is given explicitly.
 """
 
 from __future__ import annotations
@@ -42,8 +42,12 @@ def check_int(value: int, what: str, minimum: Optional[int] = None) -> None:
 
 
 def check_prime(p: int) -> None:
-    """Require p to be an int (checked under the name p) and prime."""
+    """Require p to be an int (checked under the name p), below MILLER_RABIN_BOUND and prime."""
     check_int(p, "p")
+    if p >= MILLER_RABIN_BOUND:
+        raise ResourceLimitError(
+            f"p = {_shown(p)} is not below {MILLER_RABIN_BOUND}, the bound of exact primality"
+        )
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {_shown(p)}")
 
@@ -111,8 +115,12 @@ def _trial_divisors() -> Iterator[int]:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Largest x with x**k <= n, for n >= 1 and k >= 1 (integer Newton)."""
-    x = 1 << -(-n.bit_length() // k)
+    """Largest x with x**k <= n, for n >= 1 and k >= 1, by integer Newton from above the root.
+
+    Below 2^1000 the float root errs by under 2^-40, so 1 + 2^-30 and + 2 lift it above the root.
+    """
+    e = math.log2(n) / k
+    x = int(2**e * (1 + 2**-30)) + 2 if e < 1000 else 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -129,12 +137,15 @@ def _prime_power(m: int) -> tuple[int, int]:
     low_bits = TRIAL_DIVISION_BOUND.bit_length() - 1
     for k in range((m.bit_length() - 1) // low_bits, 0, -1):
         q = _iroot(m, k)
+        if q >= MILLER_RABIN_BOUND:  # roots grow as k falls, and none past it is provable
+            break
         if q**k == m:
             if is_prime(q):
                 return q, k
             break
     raise ResourceLimitError(
-        f"{_shown(m)} has no prime factor <= {TRIAL_DIVISION_BOUND} and is not a prime power"
+        f"{_shown(m)} has no prime factor <= {TRIAL_DIVISION_BOUND} and is not a power "
+        f"of a prime below {MILLER_RABIN_BOUND}"
     )
 
 

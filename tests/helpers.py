@@ -1,13 +1,21 @@
 """Shared hypothesis strategies, reference energy and subprocess environment for the test suite."""
 
+import itertools
+import math
 import os
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 from icgraph import PrimePowerOrder, divisors
+from icgraph.numtheory import MILLER_RABIN_BASES
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+# A 4300-digit number with no Miller-Rabin base as a factor: base 2
+# alone took 8.4 s to call it composite.
+UNPROVABLE_P = next(
+    q for q in itertools.count(10**4299 + 1) if math.gcd(q, math.prod(MILLER_RABIN_BASES)) == 1
+)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

@@ -2,9 +2,7 @@
 
 import csv
 import io
-import itertools
 import json
-import math
 import os
 import shutil
 import subprocess
@@ -14,9 +12,9 @@ import pytest
 
 from icgraph import cli, numtheory, search
 from icgraph.cli import UsageError, _int_list, format_ints
-from icgraph.numtheory import MILLER_RABIN_BASES, MILLER_RABIN_BOUND
+from icgraph.numtheory import MILLER_RABIN_BOUND
 
-from helpers import src_env
+from helpers import UNPROVABLE_P, src_env
 
 
 def run_cli(capsys, argv):
@@ -379,13 +377,6 @@ def test_output_cap_counts_long_numbers_by_str_blocks(capsys):
     assert run_cli(capsys, argv)[0] == 0
 
 
-# A 4300-digit number with no Miller-Rabin base as a factor: base 2
-# alone took 8.4 s to call it composite.
-UNPROVABLE_P = next(
-    q for q in itertools.count(10**4299 + 1) if math.gcd(q, math.prod(MILLER_RABIN_BASES)) == 1
-)
-
-
 @pytest.mark.parametrize(
     "p",
     [
@@ -398,10 +389,11 @@ UNPROVABLE_P = next(
 def test_p_past_the_primality_bound_is_refused_before_any_primality_test(
     capsys, monkeypatch, p
 ):
-    def no_order(p, s):
-        raise AssertionError("PrimePowerOrder built")
+    # check_prime refuses p before is_prime can spend seconds on it.
+    def no_test(n):
+        raise AssertionError("is_prime called")
 
-    monkeypatch.setattr(cli, "PrimePowerOrder", no_order)
+    monkeypatch.setattr(numtheory, "is_prime", no_test)
     code, out, err = run_cli(capsys, ["emin", "--p", str(p), "--s", "2"])
     assert (code, out) == (2, "")
     assert err.endswith(f" is not below {MILLER_RABIN_BOUND}, the bound of exact primality\n")
@@ -450,13 +442,15 @@ def test_large_numbers_end_in_bounded_time(argv, expected):
 def test_resource_errors_abbreviate_long_numbers(capsys):
     # (2^4423 - 1)(2^4253 - 1) has 2612 digits and no factor below the
     # trial bound; the message names its first 20 digits and its length.
+    # No root of it below the exact bound is an exact one, and no root
+    # past it is tested for primality.
     n = (2**4423 - 1) * (2**4253 - 1)
     code, out, err = run_cli(capsys, ["energy", "--n", str(n), "--divisors", "1"])
     assert code == 2
     assert out == ""
     assert err == (
         f"resource limit: {str(n)[:20]}… (2612 digits) has no prime factor "
-        "<= 1000000 and is not a prime power\n"
+        "<= 1000000 and is not a power of a prime below 3317044064679887385961981\n"
     )
 
 

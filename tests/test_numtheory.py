@@ -29,8 +29,10 @@ from icgraph import (
     spectrum_gcd_graph,
     totient,
 )
-from icgraph.numtheory import _shown, check_int, check_prime, primes_up_to
+from icgraph import numtheory
+from icgraph.numtheory import MILLER_RABIN_BOUND, _shown, check_int, check_prime, primes_up_to
 
+from helpers import UNPROVABLE_P
 from paper_identities import h_equidistant, tableau_reduction_check
 
 
@@ -86,6 +88,22 @@ def test_prime_parameters_are_named_p_in_errors(entry, p, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("entry", [*PRIME_ENTRY_POINTS, "normalize"])
+@pytest.mark.parametrize("p", [MILLER_RABIN_BOUND, UNPROVABLE_P], ids=["bound", "4300-digits"])
+def test_p_past_the_primality_bound_is_refused_without_a_primality_test(monkeypatch, entry, p):
+    def no_test(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr(numtheory, "is_prime", no_test)
+    # normalize checks the p of an order that was built unchecked
+    call = PRIME_ENTRY_POINTS.get(entry, lambda p: normalize((1, 1), PrimePowerOrder._proven(p, 3)))
+    with pytest.raises(ResourceLimitError) as info:
+        call(p)
+    assert str(info.value) == (
+        f"p = {_shown(p)} is not below {MILLER_RABIN_BOUND}, the bound of exact primality"
+    )
+
+
 def test_long_numbers_are_shown_by_their_first_digits():
     assert _shown(10**50 - 1) == "9" * 50
     assert _shown(10**50) == "1" + "0" * 19 + "… (51 digits)"
@@ -133,8 +151,13 @@ BIG = "10000000000000000000\u2026 (5001 digits)"  # 10**5000
             f"n = {BIG} itself is not allowed in the divisor set", id="n-in-set",
         ),
         pytest.param(
-            lambda: check_prime(10**5000), ValueError,
-            f"p must be prime, got {BIG}", id="not-prime",
+            lambda: check_prime(-(10**5000)), ValueError,
+            f"p must be prime, got -{BIG}", id="not-prime",
+        ),
+        pytest.param(
+            lambda: check_prime(10**5000), ResourceLimitError,
+            f"p = {BIG} is not below 3317044064679887385961981, the bound of exact primality",
+            id="past-the-primality-bound",
         ),
         pytest.param(
             lambda: check_int(-(10**5000), "n", 1), ValueError,

@@ -3,11 +3,12 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icgraph import ResourceLimitError, factorize, is_prime, mobius, totient
-from icgraph.numtheory import MILLER_RABIN_BOUND, TRIAL_DIVISION_BOUND, check_int
+from icgraph import numtheory
+from icgraph.numtheory import MILLER_RABIN_BOUND, TRIAL_DIVISION_BOUND, _iroot, check_int
 
 sympy = pytest.importorskip("sympy")
 from sympy.functions.combinatorial.numbers import mobius as sympy_mobius  # noqa: E402
@@ -94,20 +95,60 @@ def test_factorize_keeps_prime_and_prime_power_cofactors(n):
     assert mobius(n) == int(sympy_mobius(n))
 
 
-@pytest.mark.parametrize(
-    "n",
-    [
-        1000000016000000063,  # (10^9 + 7)(10^9 + 9)
-        STRONG_PSEUDOPRIMES[2],  # 399165290221 * 798330580441
-        (1000003 * 1000033) ** 2,  # a square, but not of a prime
-        2 * 1000003 * 1000033**2,
-        int(sympy.nextprime(MILLER_RABIN_BOUND)),  # prime, but beyond exact primality
-    ],
-)
+UNRESOLVED = [
+    1000000016000000063,  # (10^9 + 7)(10^9 + 9)
+    STRONG_PSEUDOPRIMES[2],  # 399165290221 * 798330580441
+    (1000003 * 1000033) ** 2,  # a square, but not of a prime
+    2 * 1000003 * 1000033**2,
+    int(sympy.nextprime(MILLER_RABIN_BOUND)),  # prime, but beyond exact primality
+]
+
+
+@pytest.mark.parametrize("n", UNRESOLVED)
 def test_factorize_refuses_cofactors_it_cannot_resolve(n):
     assert n > TRIAL_DIVISION_BOUND**2
     with pytest.raises(ResourceLimitError):
         factorize(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [*UNRESOLVED, (2**4423 - 1) * (2**4253 - 1)],
+    ids=[*map(str, UNRESOLVED), "2612-digits"],
+)
+def test_factorize_tests_no_number_past_the_exact_bound(monkeypatch, n):
+    # Base 2 alone took seconds on the 2612-digit product, to refute a
+    # number whose primality could never have been proven.
+    tested = []
+    monkeypatch.setattr(numtheory, "is_prime", lambda q: tested.append(q) or is_prime(q))
+    with pytest.raises(ResourceLimitError) as info:
+        factorize(n)
+    assert all(q < MILLER_RABIN_BOUND for q in tested)
+    assert str(info.value).endswith(
+        " has no prime factor <= 1000000 and is not a power of a prime below "
+        "3317044064679887385961981"
+    )
+
+
+def _of_bit_length(lengths):
+    return lengths.flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+# Roots below 2^1000 start from the float root, larger ones from 2^ceil(bits/k).
+@given(_of_bit_length(st.integers(1, 20000)), st.one_of(st.integers(1, 20), st.integers(1, 800)))
+@example(2**19999 + 12345, 2)  # bit-length start
+@example(2**19999 - 1, 800)  # float start
+@example(2**1000 * 3, 1)  # the root just past the float start's range
+def test_iroot_matches_sympy(n, k):
+    assert _iroot(n, k) == sympy.integer_nthroot(n, k)[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 12, 13, 100, 800])
+def test_iroot_is_exact_next_to_the_exact_bound(k):
+    prime_below = int(sympy.prevprime(MILLER_RABIN_BOUND))
+    for q in (prime_below, MILLER_RABIN_BOUND - 1, MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 1):
+        assert _iroot(q**k, k) == q
+        assert _iroot(q**k - 1, k) == q - 1
 
 
 @pytest.mark.parametrize(
