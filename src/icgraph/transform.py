@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import compress, count, repeat
 from typing import Iterator, Optional, Sequence
 
-from .energy import _gap_energy, canonical_maximizer
+from .energy import _gap_energy, _pair_sum, canonical_maximizer
 from .model import PrimePowerOrder, check_delta
 from .numtheory import _shown, check_int, check_prime
 
@@ -126,19 +126,23 @@ def apply_rule(
         raise ValueError(
             f"rule {label} does not apply at u={_shown(u)}, v={_shown(v)} to {_shown(d)}"
         )
-    return _apply(d, label, u, v, p)
+    return _apply(d, label, u, v, p)[:2]
 
 
 def _apply(
     d: tuple[int, ...], label: TransformLabel, u: int, v: Optional[int], p: int
-) -> tuple[tuple[int, ...], bool]:
-    """apply_rule on an instance that _instances(d) yields, unchecked."""
+) -> tuple[tuple[int, ...], bool, int, int]:
+    """apply_rule on an instance that _instances(d) yields, unchecked.
+
+    Returns (result, strict, i, j): the rule rewrites the window d[i:j]
+    into gaps of the same sum, and leaves d[:i] and d[j:] as they are.
+    """
     if label is TransformLabel.V:
-        return (2,) * (len(d) - 1) + (1,), True
+        return (2,) * (len(d) - 1) + (1,), True, 0, len(d)
     if v is None:
-        return d[: u - 1] + (2, d[u - 1] - 2) + d[u:], True
+        return d[: u - 1] + (2, d[u - 1] - 2) + d[u:], True, u - 1, u
     strict = not (label is TransformLabel.III and p == 2 and u == 1 and v == len(d))
-    return d[: u - 1] + (2,) * (v - u + _BLOCK_EXTRA[label]) + d[v:], strict
+    return d[: u - 1] + (2,) * (v - u + _BLOCK_EXTRA[label]) + d[v:], strict, u - 1, v
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,20 @@ class Trace:
         return self.steps[0].before if self.steps else self.terminal
 
 
+def _digit_sums(p: int, gaps: Sequence[int]) -> tuple[int, int]:
+    """(high, low) = (sum of p^(w-o), sum of p^o) over the points o = 0, ..., w.
+
+    The points are the partial sums of gaps from 0, and w is their sum.
+    """
+    high = low = power = 1
+    for gap in gaps:
+        step = p**gap
+        high = high * step + 1
+        power *= step
+        low += power
+    return high, low
+
+
 def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     """Drive d0 to a terminal delta vector, recording every step.
 
@@ -208,9 +226,18 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     canonical_maximizer(order).
 
     d0, its sum and p are checked once here. Every later vector is built
-    by a rule from a checked one, so the loop runs the unchecked scan,
-    rewrite and energy; each TransformStep and the Trace still check
-    their own invariants.
+    by a rule from a checked one, so the loop runs the unchecked scan and
+    rewrite; each TransformStep and the Trace still check their own
+    invariants, and the running energy must equal the kernel's score of
+    the terminal.
+
+    The energy kernel scores d0 and the terminal only. Each rule rewrites
+    a window of gaps into gaps of the same sum, so only the window's
+    inner points move, and the pair sum T changes by the window's own
+    pairs and by its inner points against the points outside it. Those
+    outside sum, as base-p digits, to low % p^left and
+    high % p^(s-1-right), so a step costs a few big-int products and no
+    whole-vector rescore.
     """
     d0 = d = check_delta(d0)
     if sum(d) != order.s - 1:
@@ -221,15 +248,30 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     check_prime(p)
     steps: list[TransformStep] = []
     energy = _gap_energy(p, s, d, 0)
+    # The points x (partial sums of d from 0) are distinct in 0..s-1, so
+    # high = sum p^(s-1-x) and low = sum p^x have base-p digits 0 and 1.
+    high, low = _digit_sums(p, d)
+    top = p ** (s - 1)
     limit = 4 * s + 16
     while (instance := next(_instances(d), None)) is not None:
         if len(steps) >= limit:
             raise RuntimeError(f"rewrite did not terminate within {limit} steps from {_shown(d0)}")
         label, u, v = instance
-        after, strict = _apply(d, label, u, v, p)
-        energy_after = _gap_energy(p, s, after, 0)
+        after, strict, i, j = _apply(d, label, u, v, p)
+        old, new = d[i:j], after[i : j + len(after) - len(d)]
+        left = sum(d[:i])
+        below, above = p**left, p ** (s - 1 - left - sum(old))
+        (high_old, low_old), (high_new, low_new) = _digit_sums(p, old), _digit_sums(p, new)
+        high_change, low_change = high_new - high_old, low_new - low_old
+        pair_change = above * (
+            below * (_pair_sum(p, new, 0) - _pair_sum(p, old, 0)) + high_change * (low % below)
+        ) + below * low_change * (high % above)
+        energy_after = energy + 2 * (p - 1) * ((len(after) - len(d)) * top - (p - 1) * pair_change)
         steps.append(TransformStep(label, u, v, d, after, energy, energy_after, strict))
         d, energy = after, energy_after
+        high, low = high + high_change * above, low + low_change * below
     if d not in canonical_maximizer(order):
         raise RuntimeError(f"terminal {_shown(d)} is not a maximal-energy vector for {order}")
+    if energy != _gap_energy(p, s, d, 0):
+        raise RuntimeError(f"running energy {_shown(energy)} misses the terminal's for {order}")
     return Trace(order=order, steps=tuple(steps), terminal=d)

@@ -22,7 +22,7 @@ from icgraph import (
     energy_prime_power,
     normalize,
 )
-from icgraph import transform
+from icgraph import energy, transform
 from icgraph.numtheory import check_int
 from icgraph.transform import Trace
 
@@ -591,7 +591,13 @@ def test_normalize_step_energies_match_the_direct_double_sum(d, p):
     _assert_step_energies_are_direct(d, p)
 
 
-@pytest.mark.parametrize("p, d0", LONG_CASES)
+# Besides the long runs: a 61-bit prime, a whole-vector V step, and the
+# energy-preserving III at p = 2, whose window is the whole vector.
+@pytest.mark.parametrize(
+    "p, d0",
+    LONG_CASES
+    + [(2**61 - 1, _random_composition(3, 119)), (3, (2, 1, 2, 2, 2)), (2, (1, 2, 2, 2, 1))],
+)
 def test_normalize_step_energies_match_the_direct_double_sum_at_large_s(p, d0):
     assert _assert_step_energies_are_direct(d0, p).steps
 
@@ -622,3 +628,29 @@ def test_normalize_validates_its_input_once(check_int_calls):
     check_int_calls.clear()
     assert len(normalize((999,), long).steps) == 499
     assert len(check_int_calls) == once
+
+
+def test_normalize_scores_each_step_from_its_window(monkeypatch):
+    """The energy kernel scores the start and the terminal; each step hands only its window."""
+    pair_sum, gap_energy = energy._pair_sum, energy._gap_energy
+    handed, scored = [], []
+
+    def counting_pair_sum(p, gaps, tail):
+        handed.append(len(gaps))
+        return pair_sum(p, gaps, tail)
+
+    def counting_gap_energy(*args):
+        scored.append(args)
+        return gap_energy(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "icgraph" or name.startswith("icgraph."):
+            for attr, value in list(vars(module).items()):
+                if value is pair_sum:
+                    monkeypatch.setattr(module, attr, counting_pair_sum)
+                elif value is gap_energy:
+                    monkeypatch.setattr(module, attr, counting_gap_energy)
+    assert len(normalize((999,), PrimePowerOrder(2, 1000)).steps) == 499
+    assert [args[2] for args in scored] == [(999,), (2,) * 499 + (1,)]
+    # A whole-vector rescore per step hands it 125 250 gaps.
+    assert sum(handed) < 999 + 8 * 499
