@@ -202,7 +202,8 @@ def emax_closed(order: PrimePowerOrder) -> tuple[int, list[tuple[int, ...]]]:
         raise RuntimeError(
             f"maximal-energy closed form did not divide exactly for p={p}, s={s}"
         )
-    return value, [tuple(accumulate(d, initial=0)) for d in canonical_maximizer(order)] or [(0,)]
+    # From a list, each tuple is allocated once at its size, not grown by resizing.
+    return value, [tuple([0, *accumulate(d)]) for d in canonical_maximizer(order)] or [(0,)]
 
 
 def classify_energy(n: int, energy: int) -> str:

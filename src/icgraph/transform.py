@@ -11,8 +11,9 @@ Six rules, written on d = (d_1, ..., d_{r-1}) with positions 1-based:
 
 _instances states these preconditions once and yields every instance
 that meets them, lazily and in a fixed order; applicable lists them
-all. An all-2 gap runs between consecutive entries that are not 2, so
-one pattern search over those entries finds every II/III/IV instance.
+all. It packs d one entry per byte, so each rule is one byte-pattern
+search: an all-2 gap is a run of the byte 2, and each gap rule is one
+overlapping pattern that spells out its two ends and the gap between.
 apply_rule rewrites an instance only when _instances yields it. Each
 application strictly increases the gcd-graph energy for every prime
 p, with one exception: rule III on (1, 2, ..., 2, 1) at p = 2
@@ -28,10 +29,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import repeat
 from typing import Iterator, Optional, Sequence
 
-from .energy import _gap_energy, _pair_sum, canonical_maximizer
+from .energy import _gap_energy, _pair_sum, canonical_maximizer, emax_closed
 from .model import PrimePowerOrder, check_delta
 from .numtheory import _shown, check_int, check_prime
 
@@ -58,45 +59,42 @@ def applicable(d: Sequence[int]) -> list[tuple[TransformLabel, int, Optional[int
     return list(_instances(check_delta(d)))
 
 
-# One overlapping pattern per gap rule, over the packed ends (see _instances).
+# Over the packed vector (see _instances): one pattern for Ia, and one
+# overlapping pattern per gap rule that spells out its all-2 gap.
+_AT_LEAST_4 = re.compile(b"[\x04-\xff]")
 _GAP_PATTERNS = (
-    (TransformLabel.II, re.compile(b"(?=\x01\x03|\x03\x01)")),
-    (TransformLabel.III, re.compile(b"(?=\x01\x01)")),
-    (TransformLabel.IV, re.compile(b"(?=\x03\x03)")),
+    (TransformLabel.II, re.compile(b"(?=(\x01\x02*\x03|\x03\x02*\x01))")),
+    (TransformLabel.III, re.compile(b"(?=(\x01\x02*\x01))")),
+    (TransformLabel.IV, re.compile(b"(?=(\x03\x02*\x03))")),
 )
-# Byte values clipped at 4: an entry of 4 or more ends no gap rule.
-_CLIP_AT_4 = bytes(min(x, 4) for x in range(256))
 
 
 def _instances(d: tuple[int, ...]) -> Iterator[tuple[TransformLabel, int, Optional[int]]]:
     """The instances applicable lists, lazily, on a delta vector already checked.
 
-    Each label's block is found by C-level scans (max/min, compress,
-    bytes.translate, one regex per gap rule, index), and only a label
-    whose preconditions can hold is scanned, so taking the first
+    d is packed one entry per byte, with every entry clipped at 4 when
+    one passes 255 (the rules only tell 1, 2, 3 and "4 or more" apart).
+    Each label's block is then one C-level search over those bytes,
+    run only when the generator gets that far, so taking the first
     instance does not list the rest.
     """
-    high, low = max(d), min(d)
-    if high >= 4:
-        for u in compress(count(1), map((3).__lt__, d)):
-            yield TransformLabel.Ia, u, None
-    elif high == 3 and low >= 2:
-        for u in compress(count(1), map((3).__eq__, d)):
-            yield TransformLabel.Ib, u, None
-    if low == high == 2 or low >= 4:
-        return
-    # The entries that are not 2, clipped at 4: an all-2 gap runs between
-    # neighbours here, so the gap rules are overlapping byte patterns.
-    packed = bytes(d) if high < 256 else bytes(map(min, d, repeat(4)))
-    ends = packed.translate(_CLIP_AT_4, b"\x02")
-    if len(ends) >= 2:
-        marks = list(compress(count(1), map((2).__ne__, d)))
-        for label, pattern in _GAP_PATTERNS:
-            for match in pattern.finditer(ends):
-                i = match.start()
-                yield label, marks[i], marks[i + 1]
-    elif ends == b"\x01":
-        u = d.index(1) + 1
+    try:
+        packed = bytes(d)
+    except ValueError:  # an entry of 256 or more
+        packed = bytes(map(min, d, repeat(4)))
+    match = None
+    for match in _AT_LEAST_4.finditer(packed):
+        yield TransformLabel.Ia, match.start() + 1, None
+    if match is None and 1 not in packed:
+        u = packed.find(3)
+        while u >= 0:
+            yield TransformLabel.Ib, u + 1, None
+            u = packed.find(3, u + 1)
+    for label, pattern in _GAP_PATTERNS:
+        for match in pattern.finditer(packed):
+            yield label, match.start() + 1, match.end(1)
+    if packed.strip(b"\x02") == b"\x01":
+        u = packed.index(1) + 1
         if 1 < u < len(d):
             yield TransformLabel.V, u, None
 
@@ -228,10 +226,10 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     d0, its sum and p are checked once here. Every later vector is built
     by a rule from a checked one, so the loop runs the unchecked scan and
     rewrite; each TransformStep and the Trace still check their own
-    invariants, and the running energy must equal the kernel's score of
-    the terminal.
+    invariants, and the running energy must equal emax_closed's closed
+    form, which shares no code with the pair sums.
 
-    The energy kernel scores d0 and the terminal only. Each rule rewrites
+    The energy kernel scores d0 only. Each rule rewrites
     a window of gaps into gaps of the same sum, so only the window's
     inner points move, and the pair sum T changes by the window's own
     pairs and by its inner points against the points outside it. Those
@@ -272,6 +270,6 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
         high, low = high + high_change * above, low + low_change * below
     if d not in canonical_maximizer(order):
         raise RuntimeError(f"terminal {_shown(d)} is not a maximal-energy vector for {order}")
-    if energy != _gap_energy(p, s, d, 0):
-        raise RuntimeError(f"running energy {_shown(energy)} misses the terminal's for {order}")
+    if energy != emax_closed(order)[0]:
+        raise RuntimeError(f"running energy {_shown(energy)} misses the maximal energy of {order}")
     return Trace(order=order, steps=tuple(steps), terminal=d)

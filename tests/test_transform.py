@@ -259,10 +259,19 @@ def test_applicable_matches_the_list_comprehension_scan(d):
         (1,), (3,), (300,), (1, 2), (2, 1), (1, 2, 2), (2, 2, 1), (256, 2, 300),
         (2, 1, 2), (2, 2, 1, 2, 2), (2,) * 7 + (1, 2),  # V only
         (2, 300, 1, 2, 1, 256), (300, 3, 2, 3, 1, 2, 1, 2, 3), (3, 2, 2, 3, 2, 3),
+        # An entry whose low byte is 1, 3, 2 or 4: packed modulo 256, each
+        # would read as a rule's end, gap or large entry.
+        (1, 257, 1), (3, 259, 3), (1, 258, 1), (3, 258, 1), (260, 3, 2, 3),
     ],
 )
 def test_applicable_matches_the_list_comprehension_scan_on_edge_cases(d):
     assert applicable(d) == _list_comprehension_applicable(d)
+
+
+# The values a byte packing can confuse: 1..5, and the byte edge 255..259.
+@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 255, 256, 257, 258, 259]), min_size=1, max_size=12))
+def test_applicable_matches_the_rule_table_across_the_byte_edge(d):
+    assert applicable(d) == _reference_applicable(d)
 
 
 def test_applicable_refuses_the_empty_vector():
@@ -602,6 +611,15 @@ def test_normalize_step_energies_match_the_direct_double_sum_at_large_s(p, d0):
     assert _assert_step_energies_are_direct(d0, p).steps
 
 
+def _rebind(monkeypatch, old, new):
+    """Bind new in place of old under every icgraph module name bound to old."""
+    for name, module in list(sys.modules.items()):
+        if name == "icgraph" or name.startswith("icgraph."):
+            for attr, value in list(vars(module).items()):
+                if value is old:
+                    monkeypatch.setattr(module, attr, new)
+
+
 @pytest.fixture
 def check_int_calls(monkeypatch):
     """Record every check_int call, under each icgraph module name bound to it."""
@@ -611,11 +629,7 @@ def check_int_calls(monkeypatch):
         calls.append(args)
         return check_int(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "icgraph" or name.startswith("icgraph."):
-            for attr, value in list(vars(module).items()):
-                if value is check_int:
-                    monkeypatch.setattr(module, attr, counting)
+    _rebind(monkeypatch, check_int, counting)
     return calls
 
 
@@ -631,7 +645,7 @@ def test_normalize_validates_its_input_once(check_int_calls):
 
 
 def test_normalize_scores_each_step_from_its_window(monkeypatch):
-    """The energy kernel scores the start and the terminal; each step hands only its window."""
+    """The energy kernel scores the start only; each step hands only its window."""
     pair_sum, gap_energy = energy._pair_sum, energy._gap_energy
     handed, scored = [], []
 
@@ -643,14 +657,23 @@ def test_normalize_scores_each_step_from_its_window(monkeypatch):
         scored.append(args)
         return gap_energy(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name == "icgraph" or name.startswith("icgraph."):
-            for attr, value in list(vars(module).items()):
-                if value is pair_sum:
-                    monkeypatch.setattr(module, attr, counting_pair_sum)
-                elif value is gap_energy:
-                    monkeypatch.setattr(module, attr, counting_gap_energy)
+    _rebind(monkeypatch, pair_sum, counting_pair_sum)
+    _rebind(monkeypatch, gap_energy, counting_gap_energy)
     assert len(normalize((999,), PrimePowerOrder(2, 1000)).steps) == 499
-    assert [args[2] for args in scored] == [(999,), (2,) * 499 + (1,)]
+    assert [args[2] for args in scored] == [(999,)]
     # A whole-vector rescore per step hands it 125 250 gaps.
     assert sum(handed) < 999 + 8 * 499
+
+
+def test_normalize_checks_the_running_energy_against_the_closed_form(monkeypatch):
+    """A closed form one off, under every icgraph name bound to it, fails the closing guard."""
+    closed = energy.emax_closed
+
+    def one_off(order):
+        value, tuples = closed(order)
+        return value + 1, tuples
+
+    _rebind(monkeypatch, closed, one_off)
+    assert transform.emax_closed is one_off
+    with pytest.raises(RuntimeError, match="misses the maximal energy"):
+        normalize((999,), PrimePowerOrder(2, 1000))
