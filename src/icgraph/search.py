@@ -27,14 +27,15 @@ offsets of the row's bytes: no Python loop runs over the subsets, and
 the result does not depend on the host's byte order. The items are
 validated once, and memory is O(tau(n) 2^k). Both searches run in this
 process, whatever `jobs` says, and the ties are sorted, so reports are
-the same for any job count.
+the same for any job count. A MaximizerReport is a named tuple, like
+model.PrimePowerOrder, and every construction checks it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul, sub
+from typing import Iterable, NamedTuple
 
 from .energy import _check_scan_cap, _class_columns, emax_closed
 from .model import PrimePowerOrder, divisor_set_of
@@ -43,18 +44,26 @@ from .numtheory import ResourceLimitError, _shown, check_int, divisors
 GENERAL_SUBSET_CAP = 2**20
 
 
-@dataclass(frozen=True)
-class MaximizerReport:
-    """Result of an exhaustive max-energy sweep over divisor sets of n."""
+class MaximizerReport(NamedTuple("MaximizerReport", [
+    ("n", int), ("emax", int), ("maximizers", tuple[tuple[int, ...], ...]), ("examined", int),
+])):
+    """Result of an exhaustive max-energy sweep over divisor sets of n.
 
-    n: int
-    emax: int
-    maximizers: tuple[tuple[int, ...], ...]
-    examined: int
+    An immutable (n, emax, maximizers, examined) tuple; every public way
+    to build one checks that there is a maximizer.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.maximizers:
+    __slots__ = ()
+
+    def __new__(cls, n, emax, maximizers, examined):
+        if not maximizers:
             raise ValueError("a maximizer report needs at least one maximizer")
+        return super().__new__(cls, n, emax, maximizers, examined)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> MaximizerReport:
+        # namedtuple's _make (and _replace, which calls it) skip __new__.
+        return cls(*iterable)
 
 
 def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

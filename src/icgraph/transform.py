@@ -13,24 +13,26 @@ _instances states these preconditions once and yields every instance
 that meets them, lazily and in a fixed order; applicable lists them
 all. It packs d one entry per byte, so each rule is one byte-pattern
 search: an all-2 gap is a run of the byte 2, and each gap rule is one
-overlapping pattern that spells out its two ends and the gap between.
-apply_rule rewrites an instance only when _instances yields it. Each
-application strictly increases the gcd-graph energy for every prime
-p, with one exception: rule III on (1, 2, ..., 2, 1) at p = 2
+pattern that matches its near end and looks ahead over the gap to its
+far end. apply_rule rewrites an instance only when _instances yields
+it. Each application strictly increases the gcd-graph energy for every
+prime p, with one exception: rule III on (1, 2, ..., 2, 1) at p = 2
 preserves the energy exactly (recorded as strict=False). normalize
 takes the first instance at each step (label order above, then
 leftmost) to a fixed point; the fixed points are exactly the
 maximal-energy delta vectors from canonical_maximizer (stated in the
 energy module next to emax_closed, and re-exported here).
+
+TransformStep and Trace are named tuples that, like model.PrimePowerOrder,
+check their invariants on every construction, _make and _replace included.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .energy import _gap_energy, _pair_sum, canonical_maximizer, emax_closed
 from .model import PrimePowerOrder, check_delta
@@ -60,12 +62,14 @@ def applicable(d: Sequence[int]) -> list[tuple[TransformLabel, int, Optional[int
 
 
 # Over the packed vector (see _instances): one pattern for Ia, and one
-# overlapping pattern per gap rule that spells out its all-2 gap.
+# per gap rule. Each consumes its near end, a byte the regex engine can
+# skip to, and only looks ahead to the far end, which may be the next
+# instance's near end; the far end is the group that matched.
 _AT_LEAST_4 = re.compile(b"[\x04-\xff]")
 _GAP_PATTERNS = (
-    (TransformLabel.II, re.compile(b"(?=(\x01\x02*\x03|\x03\x02*\x01))")),
-    (TransformLabel.III, re.compile(b"(?=(\x01\x02*\x01))")),
-    (TransformLabel.IV, re.compile(b"(?=(\x03\x02*\x03))")),
+    (TransformLabel.II, re.compile(b"\x01(?=\x02*(\x03))|\x03(?=\x02*(\x01))")),
+    (TransformLabel.III, re.compile(b"\x01(?=\x02*(\x01))")),
+    (TransformLabel.IV, re.compile(b"\x03(?=\x02*(\x03))")),
 )
 
 
@@ -92,7 +96,7 @@ def _instances(d: tuple[int, ...]) -> Iterator[tuple[TransformLabel, int, Option
             u = packed.find(3, u + 1)
     for label, pattern in _GAP_PATTERNS:
         for match in pattern.finditer(packed):
-            yield label, match.start() + 1, match.end(1)
+            yield label, match.start() + 1, match.end(match.lastindex)
     if packed.strip(b"\x02") == b"\x01":
         u = packed.index(1) + 1
         if 1 < u < len(d):
@@ -143,57 +147,68 @@ def _apply(
     return d[: u - 1] + (2,) * (v - u + _BLOCK_EXTRA[label]) + d[v:], strict, u - 1, v
 
 
-@dataclass(frozen=True)
-class TransformStep:
-    """One rewrite: label, positions, both vectors and both energies."""
+class TransformStep(NamedTuple("TransformStep", [
+    ("label", TransformLabel), ("u", int), ("v", Optional[int]), ("before", tuple[int, ...]),
+    ("after", tuple[int, ...]), ("energy_before", int), ("energy_after", int), ("strict", bool),
+])):
+    """One rewrite: label, positions, both vectors and both energies.
 
-    label: TransformLabel
-    u: int
-    v: Optional[int]
-    before: tuple[int, ...]
-    after: tuple[int, ...]
-    energy_before: int
-    energy_after: int
-    strict: bool
+    An immutable tuple of these eight fields; every public way to build one checks the energies.
+    """
 
-    def __post_init__(self) -> None:
-        if self.energy_after < self.energy_before:
+    __slots__ = ()
+
+    def __new__(cls, label, u, v, before, after, energy_before, energy_after, strict):
+        if energy_after < energy_before:
             raise ValueError(
-                f"energy must not decrease: {_shown(self.energy_before)} -> "
-                f"{_shown(self.energy_after)}"
+                f"energy must not decrease: {_shown(energy_before)} -> {_shown(energy_after)}"
             )
-        if self.strict != (self.energy_after > self.energy_before):
+        if strict != (energy_after > energy_before):
             raise ValueError("strict flag disagrees with the energies")
-        if not self.strict:
+        if not strict:
             shape_ok = (
-                self.label is TransformLabel.III
-                and self.before[0] == 1
-                and self.before[-1] == 1
-                and all(x == 2 for x in self.before[1:-1])
+                label is TransformLabel.III
+                and before[0] == 1
+                and before[-1] == 1
+                and all(x == 2 for x in before[1:-1])
             )
             if not shape_ok:
                 raise ValueError(
                     f"only rule III on (1,2,...,2,1) may preserve energy, "
-                    f"got rule {self.label} on {_shown(self.before)}"
+                    f"got rule {label} on {_shown(before)}"
                 )
+        return super().__new__(cls, label, u, v, before, after, energy_before, energy_after, strict)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> TransformStep:
+        # namedtuple's _make (and _replace, which calls it) skip __new__.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A chained rewrite sequence ending in a terminal delta vector."""
+class Trace(NamedTuple("Trace", [
+    ("order", PrimePowerOrder), ("steps", tuple[TransformStep, ...]), ("terminal", tuple[int, ...]),
+])):
+    """A chained rewrite sequence ending in a terminal delta vector.
 
-    order: PrimePowerOrder
-    steps: tuple[TransformStep, ...]
-    terminal: tuple[int, ...]
+    An immutable (order, steps, terminal) tuple; every public way to build one checks the chain.
+    """
 
-    def __post_init__(self) -> None:
-        for first, second in zip(self.steps, self.steps[1:]):
+    __slots__ = ()
+
+    def __new__(cls, order, steps, terminal):
+        for first, second in zip(steps, steps[1:]):
             if first.after != second.before:
                 raise ValueError("trace steps do not chain")
             if first.energy_after != second.energy_before:
                 raise ValueError("trace energies do not chain")
-        if self.steps and self.steps[-1].after != self.terminal:
+        if steps and steps[-1].after != terminal:
             raise ValueError("terminal does not match the last step")
+        return super().__new__(cls, order, steps, terminal)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Trace:
+        # namedtuple's _make (and _replace, which calls it) skip __new__.
+        return cls(*iterable)
 
     @property
     def initial(self) -> tuple[int, ...]:

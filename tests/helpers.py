@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies, reference energy and subprocess environment for the test suite."""
+"""Shared hypothesis strategies, reference energy, record builders and subprocess environment."""
 
 import itertools
 import math
@@ -24,6 +24,23 @@ def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def every_construction(good, changes: dict) -> list:
+    """Thunks that build type(good) from good's fields with changes applied, each a public way.
+
+    Keyword and positional calls, _make, _replace and __new__: a checked
+    named tuple must check its fields on every one of them.
+    """
+    cls, fields = type(good), {**good._asdict(), **changes}
+    values = tuple(fields.values())
+    return [
+        lambda: cls(**fields),
+        lambda: cls(*values),
+        lambda: cls._make(values),
+        lambda: good._replace(**changes),
+        lambda: cls.__new__(cls, *values),
+    ]
 
 
 def direct_energy(p, s, a):

@@ -2,7 +2,10 @@
 
 `import icgraph` resolves its public names and layer submodules on first
 access, and the CLI imports `search`, `transform`, `json` and `csv` only
-in the commands and formats that use them. Every check here runs in a
+in the commands and formats that use them. No layer loads `dataclasses`
+or `inspect`: the records are validated named tuples, since importing
+`dataclasses` (and through it `inspect`) would take a large share of
+the cold start of `search` and `transform`. Every check here runs in a
 new interpreter, since this one has long since imported everything.
 """
 
@@ -14,9 +17,9 @@ import pytest
 
 from helpers import SRC, src_env
 
-# Loaded only by the commands that need them.
+# Loaded only by the commands that need them; dataclasses and inspect by none.
 OPTIONAL = frozenset(
-    ("icgraph.search", "icgraph.transform", "dataclasses", "fractions", "json", "csv")
+    ("icgraph.search", "icgraph.transform", "dataclasses", "inspect", "fractions", "json", "csv")
 )
 
 # Runs `python -m icgraph <argv>` through runpy, as -m does, and prints the
@@ -41,9 +44,9 @@ CLI_CASES = [
     ("classify --n 30 --divisors 1,2", set()),
     ("spectrum --n 12 --divisors 1,2", set()),
     ("emax --p 2 --s 5", set()),
-    ("emax --p 2 --s 5 --brute", {"icgraph.search", "dataclasses"}),
-    ("verify --pmax 3 --smax 3", {"icgraph.search", "dataclasses"}),
-    ("trace --p 2 --s 9 --delta 8", {"icgraph.transform", "dataclasses"}),
+    ("emax --p 2 --s 5 --brute", {"icgraph.search"}),
+    ("verify --pmax 3 --smax 3", {"icgraph.search"}),
+    ("trace --p 2 --s 9 --delta 8", {"icgraph.transform"}),
     ("emin --p 2 --s 5 --format json", {"json"}),
     ("spectrum --n 12 --divisors 1,2 --format csv", {"csv"}),
 ]
@@ -70,6 +73,22 @@ def test_each_command_loads_only_the_layers_it_runs(argv, expected):
 def test_import_icgraph_loads_no_layer():
     loaded = fresh("import sys, icgraph; print(sorted(sys.modules))")
     assert [m for m in loaded if m.startswith("icgraph.")] == []
+
+
+def test_the_layers_load_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys, icgraph\n"
+        "order = icgraph.PrimePowerOrder(3, 6)\n"
+        "ok, problems = icgraph.verify_theorem(order)\n"
+        "report = icgraph.brute_force_emax_general(12)\n"
+        "trace = icgraph.normalize((5,), order)\n"
+        "moves = icgraph.applicable((1, 2, 1))\n"
+        "print(repr((ok, report.emax, len(trace.steps), len(moves),\n"
+        "            sorted({'dataclasses', 'inspect'} & set(sys.modules)))))\n"
+    )
+    ok, emax, steps, moves, loaded = fresh(code)
+    assert (ok, loaded) == (True, [])
+    assert emax > 0 and steps > 0 and moves > 0
 
 
 def test_layers_resolve_without_a_submodule_import():

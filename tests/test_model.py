@@ -18,7 +18,7 @@ from icgraph import (
 )
 from icgraph.model import check_delta
 
-from helpers import exponent_tuples
+from helpers import every_construction, exponent_tuples
 
 
 def test_order_basics():
@@ -85,15 +85,7 @@ BAD_ORDERS = [
 @pytest.mark.parametrize("ps, message", BAD_ORDERS)
 def test_every_construction_path_checks_p_and_s(ps, message):
     p, s = ps
-    good = PrimePowerOrder(2, 3)
-    builders = [
-        lambda: PrimePowerOrder(p, s),
-        lambda: PrimePowerOrder(p=p, s=s),
-        lambda: PrimePowerOrder._make((p, s)),
-        lambda: good._replace(p=p, s=s),
-        lambda: PrimePowerOrder.__new__(PrimePowerOrder, p, s),
-    ]
-    for build in builders:
+    for build in every_construction(PrimePowerOrder(2, 3), {"p": p, "s": s}):
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message

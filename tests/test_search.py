@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -45,7 +46,7 @@ from icgraph.search import (
     _upper_hull,
 )
 
-from helpers import SMALL_PRIMES, exponent_tuples, src_env
+from helpers import SMALL_PRIMES, every_construction, exponent_tuples, src_env
 from paper_identities import derivative, tableau_reduction_check
 
 
@@ -184,8 +185,26 @@ def test_general_brute_force_refuses_a_large_n_before_factoring_it(monkeypatch):
 
 
 def test_report_requires_a_maximizer():
-    with pytest.raises(ValueError):
-        MaximizerReport(n=4, emax=6, maximizers=(), examined=3)
+    for build in every_construction(MaximizerReport(4, 6, ((1, 2),), 3), {"maximizers": ()}):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == "a maximizer report needs at least one maximizer"
+
+
+def test_report_is_an_immutable_named_tuple():
+    report = brute_force_emax_prime_power(PrimePowerOrder(2, 3))
+    for name in ("n", "emax", "maximizers", "examined", "other"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, 0)
+    assert repr(report) == (
+        "MaximizerReport(n=8, emax=14, maximizers=((1, 2, 4), (1, 4)), examined=7)"
+    )
+    assert report == (8, 14, ((1, 2, 4), (1, 4)), 7)
+    n, emax, maximizers, examined = report
+    again = MaximizerReport(n=n, emax=emax, maximizers=maximizers, examined=examined)
+    assert again == report and hash(again) == hash(report)
+    back = pickle.loads(pickle.dumps(report))
+    assert back == report and type(back) is MaximizerReport
 
 
 # ---------------------------------------------------------------- searches against a direct scan

@@ -1,7 +1,9 @@
 """Rewrite rules on delta vectors: preconditions, energy effects, termination."""
 
 import functools
+import pickle
 import random
+import re
 import sys
 from types import SimpleNamespace
 
@@ -26,7 +28,7 @@ from icgraph import energy, transform
 from icgraph.numtheory import check_int
 from icgraph.transform import Trace
 
-from helpers import SMALL_PRIMES, direct_energy, exponent_tuples
+from helpers import SMALL_PRIMES, direct_energy, every_construction, exponent_tuples
 
 
 def _energy(p, d):
@@ -274,6 +276,26 @@ def test_applicable_matches_the_rule_table_across_the_byte_edge(d):
     assert applicable(d) == _reference_applicable(d)
 
 
+# The gap-rule patterns as they were before each consumed its near end:
+# one lookahead spelling out the whole instance, tried at every byte.
+_LOOKAHEAD_GAP_PATTERNS = (
+    (II, re.compile(b"(?=(\x01\x02*\x03|\x03\x02*\x01))")),
+    (III, re.compile(b"(?=(\x01\x02*\x01))")),
+    (IV, re.compile(b"(?=(\x03\x02*\x03))")),
+)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=64))
+def test_gap_rules_match_the_lookahead_patterns(d):
+    packed = bytes(d)
+    expected = [
+        (label, match.start() + 1, match.end(1))
+        for label, pattern in _LOOKAHEAD_GAP_PATTERNS
+        for match in pattern.finditer(packed)
+    ]
+    assert [i for i in applicable(d) if i[0] in (II, III, IV)] == expected
+
+
 def test_applicable_refuses_the_empty_vector():
     with pytest.raises(ValueError):
         applicable(())
@@ -435,6 +457,79 @@ def test_trace_rejects_broken_chain():
     s2 = _step(p, (2, 1, 2, 2), TransformLabel.V, 2, None)
     with pytest.raises(ValueError):
         Trace(order=PrimePowerOrder(p, 7), steps=(s1, s2), terminal=s2.after)
+
+
+# A step that passes every check, and field changes that each break one;
+# when two checks fail, the message is the first one's.
+GOOD_STEP = (TransformLabel.Ia, 1, None, (4,), (2, 2), 10, 12, True)
+BAD_STEPS = [
+    ({"energy_after": 9}, "energy must not decrease: 10 -> 9"),
+    ({"energy_after": 9, "strict": False}, "energy must not decrease: 10 -> 9"),
+    ({"strict": False}, "strict flag disagrees with the energies"),
+    ({"energy_after": 10}, "strict flag disagrees with the energies"),
+    (
+        {"energy_after": 10, "strict": False},
+        "only rule III on (1,2,...,2,1) may preserve energy, got rule Ia on (4,)",
+    ),
+    (
+        {"label": TransformLabel.III, "v": 3, "before": (1, 2, 3), "energy_after": 10,
+         "strict": False},
+        "only rule III on (1,2,...,2,1) may preserve energy, got rule III on (1, 2, 3)",
+    ),
+]
+
+
+@pytest.mark.parametrize("changes, message", BAD_STEPS)
+def test_every_construction_path_checks_a_step(changes, message):
+    for build in every_construction(TransformStep(*GOOD_STEP), changes):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def _shifted(step):
+    return step._replace(energy_before=step.energy_before + 1, energy_after=step.energy_after + 1)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (lambda a, b: {"steps": (b, a)}, "trace steps do not chain"),
+        (lambda a, b: {"steps": (a, _shifted(b))}, "trace energies do not chain"),
+        (lambda a, b: {"terminal": (9,)}, "terminal does not match the last step"),
+        (lambda a, b: {"steps": (b, a), "terminal": (9,)}, "trace steps do not chain"),
+    ],
+    ids=["vectors", "energies", "terminal", "vectors-first"],
+)
+def test_every_construction_path_checks_a_trace(changes, message):
+    good = normalize((4, 1, 2), PrimePowerOrder(2, 8))
+    for build in every_construction(good, changes(*good.steps)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_step_and_trace_are_immutable_named_tuples():
+    step = TransformStep(*GOOD_STEP)
+    trace = normalize((4, 1, 2), PrimePowerOrder(2, 8))
+    for record in (step, trace):
+        for name in (*record._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        again = type(record)(*record)
+        assert again == record == tuple(record) and hash(again) == hash(record)
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and type(back) is type(record)
+    assert repr(step) == (
+        "TransformStep(label=<TransformLabel.Ia: 'Ia'>, u=1, v=None, before=(4,), "
+        "after=(2, 2), energy_before=10, energy_after=12, strict=True)"
+    )
+    assert repr(Trace(PrimePowerOrder(2, 3), (), (2,))) == (
+        "Trace(order=PrimePowerOrder(p=2, s=3), steps=(), terminal=(2,))"
+    )
+    order, steps, terminal = trace
+    assert (order, terminal, trace.initial) == (PrimePowerOrder(2, 8), (2, 2, 2, 1), (4, 1, 2))
+    assert [s.label for s in steps] == [TransformLabel.Ia, TransformLabel.V]
 
 
 # ---------------------------------------------------------------- canonical forms
