@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .model import PrimePowerOrder, check_divisor_set, check_exponent_tuple
+from .model import (
+    PrimePowerOrder, _differences, _partial_sums, check_divisor_set, check_exponent_tuple,
+)
 from .numtheory import ResourceLimitError, _shown, check_int, check_prime, divisors, ramanujan_sum
 
 if TYPE_CHECKING:  # fractions is imported only by the functions that build one
@@ -44,10 +45,6 @@ def _check_scan_cap(n: int) -> None:
     """Refuse n > SPECTRAL_N_CAP, before any O(n) work or factorization."""
     if n > SPECTRAL_N_CAP:
         raise ResourceLimitError(f"n = {_shown(n)} exceeds the spectral scan cap {SPECTRAL_N_CAP}")
-
-
-def _gaps(a: tuple[int, ...]) -> list[int]:
-    return [x - previous for previous, x in zip(a, a[1:])]
 
 
 def _pair_sum(p: int, gaps: Sequence[int], tail: int) -> int:
@@ -87,7 +84,7 @@ def h_value(p: int, a: Sequence[int]) -> Fraction:
 
     check_prime(p)
     a = check_exponent_tuple(a, math.inf)  # h puts no bound on the top exponent
-    return Fraction(_pair_sum(p, _gaps(a), 0), p ** (a[-1] - a[0]))
+    return Fraction(_pair_sum(p, _differences(a), 0), p ** (a[-1] - a[0]))
 
 
 def energy_prime_power(order: PrimePowerOrder, a: Sequence[int]) -> int:
@@ -99,7 +96,7 @@ def energy_prime_power(order: PrimePowerOrder, a: Sequence[int]) -> int:
     """
     p, s = order.p, order.s
     a = check_exponent_tuple(a, s)
-    return _gap_energy(p, s, _gaps(a), s - 1 - (a[-1] - a[0]))
+    return _gap_energy(p, s, _differences(a), s - 1 - (a[-1] - a[0]))
 
 
 @lru_cache(maxsize=64)
@@ -202,8 +199,7 @@ def emax_closed(order: PrimePowerOrder) -> tuple[int, list[tuple[int, ...]]]:
         raise RuntimeError(
             f"maximal-energy closed form did not divide exactly for p={p}, s={s}"
         )
-    # From a list, each tuple is allocated once at its size, not grown by resizing.
-    return value, [tuple([0, *accumulate(d)]) for d in canonical_maximizer(order)] or [(0,)]
+    return value, [_partial_sums(d) for d in canonical_maximizer(order)] or [(0,)]
 
 
 def classify_energy(n: int, energy: int) -> str:

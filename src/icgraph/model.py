@@ -15,12 +15,24 @@ here; divisor sets are canonically sorted tuples of ints.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .numtheory import _shown, check_int, check_prime
 
 
-class PrimePowerOrder(NamedTuple("PrimePowerOrder", [("p", int), ("s", int)])):
+class _Checked:
+    """Base of every layer's records, listed before a named tuple whose __new__ checks it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        # namedtuple's _make (and _replace, which calls it) skip __new__.
+        return cls(*iterable)
+
+
+class PrimePowerOrder(_Checked, NamedTuple("PrimePowerOrder", [("p", int), ("s", int)])):
     """Graph order n = p^s with p prime and s >= 1.
 
     An immutable (p, s) tuple; every public way to build one checks p and s.
@@ -32,11 +44,6 @@ class PrimePowerOrder(NamedTuple("PrimePowerOrder", [("p", int), ("s", int)])):
         check_prime(p)
         check_int(s, "s", 1)
         return super().__new__(cls, p, s)
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> PrimePowerOrder:
-        # namedtuple's _make (and _replace, which calls it) skip __new__.
-        return cls(*iterable)
 
     @classmethod
     def _proven(cls, p: int, s: int) -> PrimePowerOrder:
@@ -96,16 +103,25 @@ def check_delta(d: Sequence[int]) -> tuple[int, ...]:
     return d
 
 
+def _differences(a: Sequence[int]) -> tuple[int, ...]:
+    """Consecutive differences a_(i+1) - a_i, unchecked: the delta vector of an admissible a."""
+    return tuple(map(sub, a[1:], a))
+
+
+def _partial_sums(d: Iterable[int]) -> tuple[int, ...]:
+    """Partial sums from 0, unchecked: the admissible tuple of a delta vector d."""
+    return tuple([0, *accumulate(d)])  # from a list: allocated once at its size, not regrown
+
+
 def delta(a: Sequence[int]) -> tuple[int, ...]:
     """Delta vector of an admissible tuple: consecutive differences."""
     admissible_context(a)
-    a = tuple(a)
-    return tuple(a[i + 1] - a[i] for i in range(len(a) - 1))
+    return _differences(tuple(a))
 
 
 def delta_inverse(d: Sequence[int]) -> tuple[int, ...]:
     """Admissible tuple with the given delta vector: partial sums from 0."""
-    return tuple(accumulate(check_delta(d), initial=0))
+    return _partial_sums(check_delta(d))
 
 
 def reverse_complement(a: Sequence[int]) -> tuple[int, ...]:

@@ -27,24 +27,24 @@ offsets of the row's bytes: no Python loop runs over the subsets, and
 the result does not depend on the host's byte order. The items are
 validated once, and memory is O(tau(n) 2^k). Both searches run in this
 process, whatever `jobs` says, and the ties are sorted, so reports are
-the same for any job count. A MaximizerReport is a named tuple, like
-model.PrimePowerOrder, and every construction checks it.
+the same for any job count. A MaximizerReport is a named tuple on
+model._Checked, like model.PrimePowerOrder: every construction checks it.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, mul, sub
-from typing import Iterable, NamedTuple
+from operator import add, mul
+from typing import NamedTuple
 
 from .energy import _check_scan_cap, _class_columns, emax_closed
-from .model import PrimePowerOrder, divisor_set_of
+from .model import PrimePowerOrder, _Checked, _differences, divisor_set_of
 from .numtheory import ResourceLimitError, _shown, check_int, divisors
 
 GENERAL_SUBSET_CAP = 2**20
 
 
-class MaximizerReport(NamedTuple("MaximizerReport", [
+class MaximizerReport(_Checked, NamedTuple("MaximizerReport", [
     ("n", int), ("emax", int), ("maximizers", tuple[tuple[int, ...], ...]), ("examined", int),
 ])):
     """Result of an exhaustive max-energy sweep over divisor sets of n.
@@ -59,11 +59,6 @@ class MaximizerReport(NamedTuple("MaximizerReport", [
         if not maximizers:
             raise ValueError("a maximizer report needs at least one maximizer")
         return super().__new__(cls, n, emax, maximizers, examined)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> MaximizerReport:
-        # namedtuple's _make (and _replace, which calls it) skip __new__.
-        return cls(*iterable)
 
 
 def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -332,7 +327,7 @@ def _discrepancies(order: PrimePowerOrder, closed, emax: int, keys) -> list[str]
     value, tuples = closed
     keys = sorted(keys)
     expected = sorted(
-        sum(accumulate(map(p.__pow__, map(sub, t[1:], t)), mul, initial=p ** t[0]))
+        sum(accumulate(map(p.__pow__, _differences(t)), mul, initial=p ** t[0]))
         for t in tuples
     )
     problems: list[str] = []

@@ -23,8 +23,8 @@ leftmost) to a fixed point; the fixed points are exactly the
 maximal-energy delta vectors from canonical_maximizer (stated in the
 energy module next to emax_closed, and re-exported here).
 
-TransformStep and Trace are named tuples that, like model.PrimePowerOrder,
-check their invariants on every construction, _make and _replace included.
+TransformStep and Trace are named tuples on model._Checked, like
+model.PrimePowerOrder: every construction checks them, _make and _replace too.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from __future__ import annotations
 import enum
 import re
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .energy import _gap_energy, _pair_sum, canonical_maximizer, emax_closed
-from .model import PrimePowerOrder, check_delta
+from .energy import _gap_energy, canonical_maximizer, emax_closed
+from .model import PrimePowerOrder, _Checked, check_delta
 from .numtheory import _shown, check_int, check_prime
 
 
@@ -147,7 +147,7 @@ def _apply(
     return d[: u - 1] + (2,) * (v - u + _BLOCK_EXTRA[label]) + d[v:], strict, u - 1, v
 
 
-class TransformStep(NamedTuple("TransformStep", [
+class TransformStep(_Checked, NamedTuple("TransformStep", [
     ("label", TransformLabel), ("u", int), ("v", Optional[int]), ("before", tuple[int, ...]),
     ("after", tuple[int, ...]), ("energy_before", int), ("energy_after", int), ("strict", bool),
 ])):
@@ -179,13 +179,8 @@ class TransformStep(NamedTuple("TransformStep", [
                 )
         return super().__new__(cls, label, u, v, before, after, energy_before, energy_after, strict)
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> TransformStep:
-        # namedtuple's _make (and _replace, which calls it) skip __new__.
-        return cls(*iterable)
 
-
-class Trace(NamedTuple("Trace", [
+class Trace(_Checked, NamedTuple("Trace", [
     ("order", PrimePowerOrder), ("steps", tuple[TransformStep, ...]), ("terminal", tuple[int, ...]),
 ])):
     """A chained rewrite sequence ending in a terminal delta vector.
@@ -205,28 +200,25 @@ class Trace(NamedTuple("Trace", [
             raise ValueError("terminal does not match the last step")
         return super().__new__(cls, order, steps, terminal)
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Trace:
-        # namedtuple's _make (and _replace, which calls it) skip __new__.
-        return cls(*iterable)
-
     @property
     def initial(self) -> tuple[int, ...]:
         return self.steps[0].before if self.steps else self.terminal
 
 
-def _digit_sums(p: int, gaps: Sequence[int]) -> tuple[int, int]:
-    """(high, low) = (sum of p^(w-o), sum of p^o) over the points o = 0, ..., w.
+def _window_sums(p: int, gaps: Sequence[int]) -> tuple[int, int, int]:
+    """(t, high, low) over the points o = 0, ..., w, the partial sums of gaps from 0, in one pass.
 
-    The points are the partial sums of gaps from 0, and w is their sum.
+    t = energy._pair_sum(p, gaps, 0) by its recurrence, whose running
+    prefix is low = sum of p^o; high = sum of p^(w-o).
     """
-    high = low = power = 1
+    t, high, low, power = 0, 1, 1, 1
     for gap in gaps:
         step = p**gap
+        t = t * step + low
         high = high * step + 1
         power *= step
         low += power
-    return high, low
+    return t, high, low
 
 
 def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
@@ -249,8 +241,8 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     inner points move, and the pair sum T changes by the window's own
     pairs and by its inner points against the points outside it. Those
     outside sum, as base-p digits, to low % p^left and
-    high % p^(s-1-right), so a step costs a few big-int products and no
-    whole-vector rescore.
+    high % p^(s-1-right), so a step walks its old and new window once
+    each (_window_sums) and needs no whole-vector rescore.
     """
     d0 = d = check_delta(d0)
     if sum(d) != order.s - 1:
@@ -263,7 +255,7 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     energy = _gap_energy(p, s, d, 0)
     # The points x (partial sums of d from 0) are distinct in 0..s-1, so
     # high = sum p^(s-1-x) and low = sum p^x have base-p digits 0 and 1.
-    high, low = _digit_sums(p, d)
+    _, high, low = _window_sums(p, d)
     top = p ** (s - 1)
     limit = 4 * s + 16
     while (instance := next(_instances(d), None)) is not None:
@@ -274,11 +266,11 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
         old, new = d[i:j], after[i : j + len(after) - len(d)]
         left = sum(d[:i])
         below, above = p**left, p ** (s - 1 - left - sum(old))
-        (high_old, low_old), (high_new, low_new) = _digit_sums(p, old), _digit_sums(p, new)
+        t_old, high_old, low_old = _window_sums(p, old)
+        t_new, high_new, low_new = _window_sums(p, new)
         high_change, low_change = high_new - high_old, low_new - low_old
-        pair_change = above * (
-            below * (_pair_sum(p, new, 0) - _pair_sum(p, old, 0)) + high_change * (low % below)
-        ) + below * low_change * (high % above)
+        pair_change = above * (below * (t_new - t_old) + high_change * (low % below))
+        pair_change += below * low_change * (high % above)
         energy_after = energy + 2 * (p - 1) * ((len(after) - len(d)) * top - (p - 1) * pair_change)
         steps.append(TransformStep(label, u, v, d, after, energy, energy_after, strict))
         d, energy = after, energy_after

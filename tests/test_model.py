@@ -1,6 +1,9 @@
 """Orders, exponent tuples, delta vectors and divisor set plumbing."""
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -18,7 +21,7 @@ from icgraph import (
 )
 from icgraph.model import check_delta
 
-from helpers import every_construction, exponent_tuples
+from helpers import every_construction, exponent_tuples, src_env
 
 
 def test_order_basics():
@@ -132,6 +135,43 @@ def test_check_delta_rejects_invalid():
     for bad in [(), (0,), (2, 0), (2, -1), (1.5,)]:
         with pytest.raises(ValueError):
             check_delta(bad)
+
+
+# Prints the resident growth, in bytes, of keeping 60 000 tuples built
+# from 200 seeded delta vectors by argv[1]: delta_inverse, or the
+# reference that allocates each tuple once at its size.
+KEEP_TUPLES = """
+import os, random, sys
+from itertools import accumulate
+from icgraph.model import delta_inverse
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+build = delta_inverse if sys.argv[1] == "delta_inverse" else lambda d: tuple([0, *accumulate(d)])
+rng = random.Random(32)
+vectors = [tuple(rng.choices((1, 2, 3), k=rng.randint(4, 60))) for _ in range(200)]
+kept = [None] * 60000
+before = resident()
+for i in range(60000):
+    kept[i] = build(vectors[i % 200])
+print(resident() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_delta_inverse_keeps_no_more_memory_than_tuples_built_at_their_size():
+    """Grown by resizing, 60 000 results kept 1.8 MB more than tuples built from a list."""
+    growth = {}
+    for build in ("delta_inverse", "reference"):
+        proc = subprocess.run(
+            [sys.executable, "-c", KEEP_TUPLES, build],
+            env=src_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        growth[build] = int(proc.stdout)
+    assert growth["delta_inverse"] - growth["reference"] < 0.5 * 2**20, growth
 
 
 @given(exponent_tuples(max_s=20))

@@ -741,18 +741,18 @@ def test_normalize_validates_its_input_once(check_int_calls):
 
 def test_normalize_scores_each_step_from_its_window(monkeypatch):
     """The energy kernel scores the start only; each step hands only its window."""
-    pair_sum, gap_energy = energy._pair_sum, energy._gap_energy
+    window_sums, gap_energy = transform._window_sums, energy._gap_energy
     handed, scored = [], []
 
-    def counting_pair_sum(p, gaps, tail):
+    def counting_window_sums(p, gaps):
         handed.append(len(gaps))
-        return pair_sum(p, gaps, tail)
+        return window_sums(p, gaps)
 
     def counting_gap_energy(*args):
         scored.append(args)
         return gap_energy(*args)
 
-    _rebind(monkeypatch, pair_sum, counting_pair_sum)
+    _rebind(monkeypatch, window_sums, counting_window_sums)
     _rebind(monkeypatch, gap_energy, counting_gap_energy)
     assert len(normalize((999,), PrimePowerOrder(2, 1000)).steps) == 499
     assert [args[2] for args in scored] == [(999,)]
