@@ -65,14 +65,13 @@ def _pair_sum(p: int, gaps: Sequence[int], tail: int) -> int:
     return t * p**tail
 
 
-def _gap_energy(p: int, s: int, gaps: Sequence[int], tail: int) -> int:
-    """E = 2(p-1)(r p^(s-1) - (p-1) T), T the pair sum at tail = s-1-(a_r - a_1).
+def _pair_sum_energy(p: int, s: int, r: int, t: int) -> int:
+    """E = 2(p-1)(r p^(s-1) - (p-1) T) for r exponents with pair sum T (tail s-1-(a_r - a_1)).
 
-    r = len(gaps) + 1. Unchecked: energy_prime_power validates its tuple,
-    and the transform module passes a delta vector with tail 0.
+    Unchecked: energy_prime_power validates its tuple, and the transform
+    module passes the pair sum of a delta vector, whose tail is 0.
     """
-    t = _pair_sum(p, gaps, tail)
-    return 2 * (p - 1) * ((len(gaps) + 1) * p ** (s - 1) - (p - 1) * t)
+    return 2 * (p - 1) * (r * p ** (s - 1) - (p - 1) * t)
 
 
 def h_value(p: int, a: Sequence[int]) -> Fraction:
@@ -96,7 +95,8 @@ def energy_prime_power(order: PrimePowerOrder, a: Sequence[int]) -> int:
     """
     p, s = order.p, order.s
     a = check_exponent_tuple(a, s)
-    return _gap_energy(p, s, _differences(a), s - 1 - (a[-1] - a[0]))
+    tail = s - 1 - (a[-1] - a[0])
+    return _pair_sum_energy(p, s, len(a), _pair_sum(p, _differences(a), tail))
 
 
 @lru_cache(maxsize=64)

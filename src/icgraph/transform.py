@@ -23,6 +23,15 @@ leftmost) to a fixed point; the fixed points are exactly the
 maximal-energy delta vectors from canonical_maximizer (stated in the
 energy module next to emax_closed, and re-exported here).
 
+normalize does not scan for that first instance: _schedule reads the
+whole sequence off d0 in one left-to-right pass. Ia splits every entry
+of 4 or more, left to right. The 1s and 3s left (the marks) then meet
+under II, which keeps the length, so every mark keeps its position and
+II cancels unlike neighbouring marks as a stack does. Equal marks
+remain: 1s merge pairwise under III; 3s take Ib (which comes before
+IV) and II in turn, so IV never fires inside normalize. A lone 1 left
+over takes V unless it is already an end.
+
 TransformStep and Trace are named tuples on model._Checked, like
 model.PrimePowerOrder: every construction checks them, _make and _replace too.
 """
@@ -34,7 +43,7 @@ import re
 from itertools import repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .energy import _gap_energy, canonical_maximizer, emax_closed
+from .energy import _pair_sum_energy, canonical_maximizer, emax_closed
 from .model import PrimePowerOrder, _Checked, check_delta
 from .numtheory import _shown, check_int, check_prime
 
@@ -101,6 +110,59 @@ def _instances(d: tuple[int, ...]) -> Iterator[tuple[TransformLabel, int, Option
         u = packed.index(1) + 1
         if 1 < u < len(d):
             yield TransformLabel.V, u, None
+
+
+def _schedule(d0: tuple[int, ...]) -> Iterator[tuple[TransformLabel, int, Optional[int]]]:
+    """The instances normalize applies from d0 on, each the first _instances yields at its step.
+
+    One left-to-right pass over d0, by this argument:
+    1. Ia comes first, and no rule except Ia makes an entry >= 4. So each
+       entry e >= 4 is split in turn, left to right, in (e - 2) // 2 Ia
+       steps, into 2s and a last 2 or 3; position counts the vector after them.
+    2. Call the 1s and 3s left the marks. II keeps the vector's length and
+       turns both its marks into 2s, so every mark keeps its position, and
+       its only new neighbours are the marks on either side of its window.
+       So the leftmost-first II steps are a stack cancellation of unlike
+       neighbouring marks, at fixed positions; after it the marks are all
+       1s or all 3s. (Ib needs no 1, so it waits while both kinds remain.)
+    3. If they are all 1s, III applies to the first two, again and again,
+       each step shortening the vector by 1. If they are all 3s, Ib applies
+       to the first 3 (Ib comes before IV), and then II pairs the new 1
+       with the next 3. So IV never fires inside normalize.
+    4. A lone 1 that is left takes V, unless it is the first or the last entry.
+    """
+    Ia, Ib, II, III, _, V = TransformLabel
+    merges, marks, kind, position = [], [], 0, 0
+    for entry in d0:
+        position += 1
+        while entry >= 4:
+            yield Ia, position, None
+            entry -= 2
+            position += 1
+        if entry == 2:
+            continue
+        if marks and entry != kind:
+            merges.append((II, marks.pop(), position))
+        else:
+            marks.append(position)
+            kind = entry
+    yield from merges
+    shift = 0  # the length change so far, which moves every later mark
+    for u, v in zip(marks[::2], marks[1::2]):
+        if kind == 1:
+            yield III, u + shift, v + shift
+            shift -= 1
+        else:
+            yield Ib, u + shift, None
+            shift += 1
+            yield II, u + shift, v + shift
+    if len(marks) % 2:
+        u = marks[-1] + shift
+        if kind == 3:
+            yield Ib, u, None
+            shift, u = shift + 1, u + 1
+        if 1 < u < position + shift:
+            yield V, u, None
 
 
 # Extra 2s in the block that replaces d_u..d_v, beyond its v - u entries.
@@ -224,25 +286,33 @@ def _window_sums(p: int, gaps: Sequence[int]) -> tuple[int, int, int]:
 def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     """Drive d0 to a terminal delta vector, recording every step.
 
-    Applies the first applicable instance (order fixed by applicable),
-    drawn alone from the lazy scan, until none applies. Energies never
-    decrease along the trace and strictly increase except at
-    energy-preserving III steps. The terminal vector is always one of
-    canonical_maximizer(order).
+    Applies the first applicable instance (order fixed by applicable)
+    until none applies. Energies never decrease along the trace and
+    strictly increase except at energy-preserving III steps. The
+    terminal vector is always one of canonical_maximizer(order).
+
+    No vector is scanned for its first instance: _schedule reads them
+    all off d0 in one pass. Ia splits every entry of 4 or more, left to
+    right. II keeps the length, so every position stays fixed, and it
+    cancels unlike neighbouring 1s and 3s as a stack does. The 1s left
+    merge pairwise by III; the 3s left take Ib and II in turn, Ib coming
+    before IV, so IV never fires here. A lone 1 left inside the vector
+    takes V. _schedule states the argument in full.
 
     d0, its sum and p are checked once here. Every later vector is built
-    by a rule from a checked one, so the loop runs the unchecked scan and
+    by a rule from a checked one, so the loop runs the unchecked
     rewrite; each TransformStep and the Trace still check their own
-    invariants, and the running energy must equal emax_closed's closed
-    form, which shares no code with the pair sums.
+    invariants, the loop stops after 4s + 16 steps, the terminal must be
+    a canonical_maximizer vector, and the running energy must equal
+    emax_closed's closed form, which shares no code with the pair sums.
 
-    The energy kernel scores d0 only. Each rule rewrites
-    a window of gaps into gaps of the same sum, so only the window's
-    inner points move, and the pair sum T changes by the window's own
-    pairs and by its inner points against the points outside it. Those
-    outside sum, as base-p digits, to low % p^left and
+    One walk over d0 (_window_sums) gives its pair sum T and the digit
+    sums below. Each rule rewrites a window of gaps into gaps of the
+    same sum, so only the window's inner points move, and T changes by
+    the window's own pairs and by its inner points against the points
+    outside it. Those outside sum, as base-p digits, to low % p^left and
     high % p^(s-1-right), so a step walks its old and new window once
-    each (_window_sums) and needs no whole-vector rescore.
+    each and needs no whole-vector rescore.
     """
     d0 = d = check_delta(d0)
     if sum(d) != order.s - 1:
@@ -252,16 +322,15 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     p, s = order.p, order.s
     check_prime(p)
     steps: list[TransformStep] = []
-    energy = _gap_energy(p, s, d, 0)
     # The points x (partial sums of d from 0) are distinct in 0..s-1, so
     # high = sum p^(s-1-x) and low = sum p^x have base-p digits 0 and 1.
-    _, high, low = _window_sums(p, d)
+    t, high, low = _window_sums(p, d)
+    energy = _pair_sum_energy(p, s, len(d) + 1, t)
     top = p ** (s - 1)
     limit = 4 * s + 16
-    while (instance := next(_instances(d), None)) is not None:
+    for label, u, v in _schedule(d0):
         if len(steps) >= limit:
             raise RuntimeError(f"rewrite did not terminate within {limit} steps from {_shown(d0)}")
-        label, u, v = instance
         after, strict, i, j = _apply(d, label, u, v, p)
         old, new = d[i:j], after[i : j + len(after) - len(d)]
         left = sum(d[:i])

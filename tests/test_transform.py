@@ -647,24 +647,27 @@ def test_normalize_matches_a_loop_over_the_public_rules_at_large_s(p, d0):
     assert normalize(d0, order) == _reference_normalize(d0, order)
 
 
+def test_normalize_matches_a_loop_over_the_public_rules_on_every_small_composition():
+    """Every d0 with s <= 13 at p = 2 and 3; none of the traces steps through IV."""
+    for total in range(1, 13):  # 4095 vectors, the III at p = 2 that preserves energy among them
+        for d in _compositions(total):
+            for p in (2, 3):
+                order = PrimePowerOrder(p, total + 1)
+                trace = normalize(d, order)
+                assert trace == _reference_normalize(d, order), (d, p)
+                assert IV not in [step.label for step in trace.steps], (d, p)
+
+
 def _normalize_one_instance_per_step(d0, order):
-    """normalize with the listing applicable disabled and every drawn instance counted."""
-    scan, drawn = transform._instances, []
+    """normalize with the rule scan disabled: its schedule alone picks every step."""
 
-    def counted(d):
-        for instance in scan(d):
-            drawn.append(instance)
-            yield instance
-
-    def no_list(d):
-        raise AssertionError(f"normalize listed every instance of {d}")
+    def no_scan(d):
+        raise AssertionError(f"normalize scanned {d} for instances")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(transform, "applicable", no_list)
-        patch.setattr(transform, "_instances", counted)
-        trace = normalize(d0, order)
-    assert len(drawn) == len(trace.steps)
-    return trace
+        patch.setattr(transform, "applicable", no_scan)
+        patch.setattr(transform, "_instances", no_scan)
+        return normalize(d0, order)
 
 
 def test_normalize_draws_one_instance_per_step():
@@ -740,24 +743,22 @@ def test_normalize_validates_its_input_once(check_int_calls):
 
 
 def test_normalize_scores_each_step_from_its_window(monkeypatch):
-    """The energy kernel scores the start only; each step hands only its window."""
-    window_sums, gap_energy = transform._window_sums, energy._gap_energy
-    handed, scored = [], []
+    """One walk over d0 scores the start; each step hands only its old and new window."""
+    handed = []
 
-    def counting_window_sums(p, gaps):
-        handed.append(len(gaps))
-        return window_sums(p, gaps)
+    def counting(kernel):
+        def counted(p, gaps, *rest):
+            handed.append(tuple(gaps))
+            return kernel(p, gaps, *rest)
 
-    def counting_gap_energy(*args):
-        scored.append(args)
-        return gap_energy(*args)
+        return counted
 
-    _rebind(monkeypatch, window_sums, counting_window_sums)
-    _rebind(monkeypatch, gap_energy, counting_gap_energy)
+    for kernel in (energy._pair_sum, transform._window_sums):
+        _rebind(monkeypatch, kernel, counting(kernel))
     assert len(normalize((999,), PrimePowerOrder(2, 1000)).steps) == 499
-    assert [args[2] for args in scored] == [(999,)]
-    # A whole-vector rescore per step hands it 125 250 gaps.
-    assert sum(handed) < 999 + 8 * 499
+    assert handed[0] == (999,) and len(handed) == 1 + 2 * 499
+    # A whole-vector rescore per step hands over 125 250 gaps.
+    assert sum(map(len, handed)) < 999 + 8 * 499
 
 
 def test_normalize_checks_the_running_energy_against_the_closed_form(monkeypatch):
