@@ -9,28 +9,18 @@ Six rules, written on d = (d_1, ..., d_{r-1}) with positions 1-based:
   IV   d_u = d_v = 3, all-2 gap ->  block of 2s spanning u..v+1 (length +1)
   V    single 1 at 2 <= u <= r-2, rest 2s  ->  (2, ..., 2, 1)   (length =)
 
-_instances states these preconditions once and yields every instance
-that meets them, lazily and in a fixed order; applicable lists them
-all. It packs d one entry per byte, so each rule is one byte-pattern
-search: an all-2 gap is a run of the byte 2, and each gap rule is one
-pattern that matches its near end and looks ahead over the gap to its
-far end. apply_rule rewrites an instance only when _instances yields
-it. Each application strictly increases the gcd-graph energy for every
-prime p, with one exception: rule III on (1, 2, ..., 2, 1) at p = 2
-preserves the energy exactly (recorded as strict=False). normalize
-takes the first instance at each step (label order above, then
-leftmost) to a fixed point; the fixed points are exactly the
-maximal-energy delta vectors from canonical_maximizer (stated in the
-energy module next to emax_closed, and re-exported here).
-
-normalize does not scan for that first instance: _schedule reads the
-whole sequence off d0 in one left-to-right pass. Ia splits every entry
-of 4 or more, left to right. The 1s and 3s left (the marks) then meet
-under II, which keeps the length, so every mark keeps its position and
-II cancels unlike neighbouring marks as a stack does. Equal marks
-remain: 1s merge pairwise under III; 3s take Ib (which comes before
-IV) and II in turn, so IV never fires inside normalize. A lone 1 left
-over takes V unless it is already an end.
+_instances states these preconditions once and lists every instance
+that meets them, in a fixed order; applicable returns that list, and
+apply_rule rewrites only an instance on it. Each application strictly
+increases the gcd-graph energy for every prime p, with one exception:
+rule III on (1, 2, ..., 2, 1) at p = 2 preserves the energy exactly
+(recorded as strict=False). normalize takes the first instance at each
+step (label order above, then leftmost) to a fixed point; the fixed
+points are exactly the maximal-energy delta vectors from
+canonical_maximizer (stated in the energy module next to emax_closed,
+and re-exported here). It does not scan for that first instance:
+_schedule reads the whole sequence off d0 in one pass, by the argument
+its docstring states.
 
 TransformStep and Trace are named tuples on model._Checked, like
 model.PrimePowerOrder: every construction checks them, _make and _replace too.
@@ -39,8 +29,6 @@ model.PrimePowerOrder: every construction checks them, _make and _replace too.
 from __future__ import annotations
 
 import enum
-import re
-from itertools import repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .energy import _pair_sum_energy, canonical_maximizer, emax_closed
@@ -67,53 +55,29 @@ def applicable(d: Sequence[int]) -> list[tuple[TransformLabel, int, Optional[int
     ascending. The prime p plays no part: rule III applies in its
     energy-preserving case too.
     """
-    return list(_instances(check_delta(d)))
+    return _instances(check_delta(d))
 
 
-# Over the packed vector (see _instances): one pattern for Ia, and one
-# per gap rule. Each consumes its near end, a byte the regex engine can
-# skip to, and only looks ahead to the far end, which may be the next
-# instance's near end; the far end is the group that matched.
-_AT_LEAST_4 = re.compile(b"[\x04-\xff]")
-_GAP_PATTERNS = (
-    (TransformLabel.II, re.compile(b"\x01(?=\x02*(\x03))|\x03(?=\x02*(\x01))")),
-    (TransformLabel.III, re.compile(b"\x01(?=\x02*(\x01))")),
-    (TransformLabel.IV, re.compile(b"\x03(?=\x02*(\x03))")),
-)
+def _instances(d: tuple[int, ...]) -> list[tuple[TransformLabel, int, Optional[int]]]:
+    """The instances applicable lists, on a delta vector already checked.
 
-
-def _instances(d: tuple[int, ...]) -> Iterator[tuple[TransformLabel, int, Optional[int]]]:
-    """The instances applicable lists, lazily, on a delta vector already checked.
-
-    d is packed one entry per byte, with every entry clipped at 4 when
-    one passes 255 (the rules only tell 1, 2, 3 and "4 or more" apart).
-    Each label's block is then one C-level search over those bytes,
-    run only when the generator gets that far, so taking the first
-    instance does not list the rest.
+    The marks are the entries other than 2. Two adjacent marks have an
+    all-2 gap between them, so each gap rule is a test on adjacent marks.
     """
-    try:
-        packed = bytes(d)
-    except ValueError:  # an entry of 256 or more
-        packed = bytes(map(min, d, repeat(4)))
-    match = None
-    for match in _AT_LEAST_4.finditer(packed):
-        yield TransformLabel.Ia, match.start() + 1, None
-    if match is None and 1 not in packed:
-        u = packed.find(3)
-        while u >= 0:
-            yield TransformLabel.Ib, u + 1, None
-            u = packed.find(3, u + 1)
-    for label, pattern in _GAP_PATTERNS:
-        for match in pattern.finditer(packed):
-            yield label, match.start() + 1, match.end(match.lastindex)
-    if packed.strip(b"\x02") == b"\x01":
-        u = packed.index(1) + 1
-        if 1 < u < len(d):
-            yield TransformLabel.V, u, None
+    Ia, Ib, II, III, IV, V = TransformLabel
+    marks = [u for u, x in enumerate(d, 1) if x != 2]
+    found = [(Ia, u, None) for u in marks if d[u - 1] >= 4]
+    if not found and 1 not in d:
+        found += [(Ib, u, None) for u in marks if d[u - 1] == 3]
+    for label, ends in ((II, {(1, 3), (3, 1)}), (III, {(1, 1)}), (IV, {(3, 3)})):
+        found += [(label, u, v) for u, v in zip(marks, marks[1:]) if (d[u - 1], d[v - 1]) in ends]
+    if len(marks) == 1 and d[marks[0] - 1] == 1 and 1 < marks[0] < len(d):
+        found.append((V, marks[0], None))
+    return found
 
 
 def _schedule(d0: tuple[int, ...]) -> Iterator[tuple[TransformLabel, int, Optional[int]]]:
-    """The instances normalize applies from d0 on, each the first _instances yields at its step.
+    """The instances normalize applies from d0 on, each the first _instances lists at its step.
 
     One left-to-right pass over d0, by this argument:
     1. Ia comes first, and no rule except Ia makes an entry >= 4. So each
@@ -196,7 +160,7 @@ def apply_rule(
 def _apply(
     d: tuple[int, ...], label: TransformLabel, u: int, v: Optional[int], p: int
 ) -> tuple[tuple[int, ...], bool, int, int]:
-    """apply_rule on an instance that _instances(d) yields, unchecked.
+    """apply_rule on an instance that _instances(d) lists, unchecked.
 
     Returns (result, strict, i, j): the rule rewrites the window d[i:j]
     into gaps of the same sum, and leaves d[:i] and d[j:] as they are.
@@ -292,12 +256,7 @@ def normalize(d0: Sequence[int], order: PrimePowerOrder) -> Trace:
     terminal vector is always one of canonical_maximizer(order).
 
     No vector is scanned for its first instance: _schedule reads them
-    all off d0 in one pass. Ia splits every entry of 4 or more, left to
-    right. II keeps the length, so every position stays fixed, and it
-    cancels unlike neighbouring 1s and 3s as a stack does. The 1s left
-    merge pairwise by III; the 3s left take Ib and II in turn, Ib coming
-    before IV, so IV never fires here. A lone 1 left inside the vector
-    takes V. _schedule states the argument in full.
+    all off d0 in one pass, by the argument its docstring states.
 
     d0, its sum and p are checked once here. Every later vector is built
     by a rule from a checked one, so the loop runs the unchecked

@@ -228,30 +228,13 @@ def test_applicable_matches_the_rule_table_up_to_total_40(d):
     assert applicable(d) == _reference_applicable(d)
 
 
-def _list_comprehension_applicable(d):
-    """The instance lister before the lazy scan: per-entry loops, one list per label."""
-    gap_rules = {(1, 3): II, (3, 1): II, (1, 1): III, (3, 3): IV}
-    r1 = len(d)
-    positions = range(1, r1 + 1)
-    out = [(Ia, u, None) for u in positions if d[u - 1] >= 4]
-    if max(d) == 3 and min(d) >= 2:
-        out += [(Ib, u, None) for u in positions if d[u - 1] == 3]
-    marks = [u for u in positions if d[u - 1] != 2]
-    gaps = [(gap_rules.get((d[u - 1], d[v - 1])), u, v) for u, v in zip(marks, marks[1:])]
-    for label in (II, III, IV):
-        out += [gap for gap in gaps if gap[0] is label]
-    if len(marks) == 1 and d[marks[0] - 1] == 1 and 1 < marks[0] < r1:
-        out.append((V, marks[0], None))
-    return out
-
-
-# Entries past 255 do not fit a byte, so they take the other packing.
+# Entries past 255 as edge cases: none of them fits a byte.
 _wide_entries = st.one_of(st.sampled_from([1, 2, 2, 2, 3]), st.integers(1, 300))
 
 
 @given(st.lists(_wide_entries, min_size=1, max_size=24))
-def test_applicable_matches_the_list_comprehension_scan(d):
-    assert applicable(d) == _list_comprehension_applicable(d)
+def test_applicable_matches_the_rule_table_on_wide_entries(d):
+    assert applicable(d) == _reference_applicable(d)
 
 
 @pytest.mark.parametrize(
@@ -261,17 +244,17 @@ def test_applicable_matches_the_list_comprehension_scan(d):
         (1,), (3,), (300,), (1, 2), (2, 1), (1, 2, 2), (2, 2, 1), (256, 2, 300),
         (2, 1, 2), (2, 2, 1, 2, 2), (2,) * 7 + (1, 2),  # V only
         (2, 300, 1, 2, 1, 256), (300, 3, 2, 3, 1, 2, 1, 2, 3), (3, 2, 2, 3, 2, 3),
-        # An entry whose low byte is 1, 3, 2 or 4: packed modulo 256, each
-        # would read as a rule's end, gap or large entry.
+        # An entry whose low byte is 1, 3, 2 or 4: each is 4 or more, not
+        # a rule's end or gap.
         (1, 257, 1), (3, 259, 3), (1, 258, 1), (3, 258, 1), (260, 3, 2, 3),
     ],
 )
-def test_applicable_matches_the_list_comprehension_scan_on_edge_cases(d):
-    assert applicable(d) == _list_comprehension_applicable(d)
+def test_applicable_matches_the_rule_table_on_edge_cases(d):
+    assert applicable(d) == _reference_applicable(d)
 
 
-# The values a byte packing can confuse: 1..5, and the byte edge 255..259.
-@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 255, 256, 257, 258, 259]), min_size=1, max_size=12))
+# The values 1..5, the byte edge 255..259, and an entry far past any byte.
+@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 255, 256, 257, 258, 259, 2**70]), min_size=1, max_size=12))
 def test_applicable_matches_the_rule_table_across_the_byte_edge(d):
     assert applicable(d) == _reference_applicable(d)
 
@@ -304,7 +287,7 @@ def test_applicable_refuses_the_empty_vector():
 @given(st.lists(_wide_entries, min_size=1, max_size=7), st.sampled_from(SMALL_PRIMES))
 def test_apply_rule_accepts_exactly_the_listed_instances(d, p):
     d = tuple(d)
-    listed = _list_comprehension_applicable(d)
+    listed = _reference_applicable(d)
     positions = range(0, len(d) + 2)
     for label in TransformLabel:
         for u in positions:
